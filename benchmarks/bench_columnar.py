@@ -36,7 +36,6 @@ from repro.logic.cq import ConjunctiveQuery, RelationAtom, equality
 from repro.logic.terms import Constant, Variable
 from repro.query import plan_query
 from repro.relational.columnar import ensure_encoded
-from repro.serve import publish_document
 from repro.relational.instance import Instance
 from repro.workloads.blowup import (
     chain_of_diamonds_instance,
@@ -47,9 +46,15 @@ from repro.workloads.registrar import (
     generate_registrar_instance,
     tau1_prerequisite_hierarchy,
 )
+from repro.xmltree.serialize import IncrementalXmlSerializer
 
 #: The acceptance threshold for the columnar speedups.
 MIN_SPEEDUP = 5.0
+
+
+def streamed_document(plan, instance) -> str:
+    """The event-streamed render: ``publish_events`` through the serialiser."""
+    return IncrementalXmlSerializer().feed_all(plan.publish_events(instance)).finish()
 
 
 def registrar_multi_join_query() -> ConjunctiveQuery:
@@ -173,18 +178,18 @@ def measure_publish_byte_identity(num_courses: int = 60, diamonds: int = 8) -> d
         encoded = _encoded_twin(instance)
         row_plan = compile_plan(transducer, max_nodes=max_nodes or 200_000)
         columnar_plan = compile_plan(transducer, max_nodes=max_nodes or 200_000)
-        row_xml = publish_document(row_plan, instance)
-        columnar_xml = publish_document(columnar_plan, encoded)
+        row_xml = streamed_document(row_plan, instance)
+        columnar_xml = streamed_document(columnar_plan, encoded)
         assert row_xml == columnar_xml, f"{name}: published XML must be byte-identical"
         row_seconds = _best(
-            lambda: publish_document(
+            lambda: streamed_document(
                 compile_plan(transducer, max_nodes=max_nodes or 200_000), instance
             ),
             3,
             batches=3,
         )
         columnar_seconds = _best(
-            lambda: publish_document(
+            lambda: streamed_document(
                 compile_plan(transducer, max_nodes=max_nodes or 200_000), encoded
             ),
             3,

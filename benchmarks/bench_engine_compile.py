@@ -7,7 +7,7 @@ The ISSUE-1 acceptance benchmark.  Three comparisons on one machine:
   ``publish``);
 * ``interpreted``: the same batch through the literal Section 3 interpreter
   (:class:`TransducerRuntime`), which re-extends the instance at every node;
-* ``batched``: one compiled plan, streamed over the batch (``repro.serve.publish_stream``) with
+* ``batched``: one compiled plan publishing every instance of the batch, with
   the shared memo cache.
 
 Every timed run asserts the batched trees equal the cold trees, so the
@@ -24,7 +24,6 @@ import pytest
 
 from repro.core.runtime import TransducerRuntime
 from repro.engine import Engine, compile_plan
-from repro.serve import publish_stream
 from repro.workloads.blowup import (
     chain_of_diamonds_instance,
     chain_of_diamonds_transducer,
@@ -86,7 +85,7 @@ def test_registrar_batch_compiled_vs_cold(benchmark):
     )
 
     def batched():
-        return list(publish_stream(plan, instances))
+        return [plan.publish(instance) for instance in instances]
 
     trees = benchmark(batched)
     assert trees == expected

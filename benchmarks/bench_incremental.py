@@ -1,4 +1,4 @@
-"""Incremental vs full republish: the ISSUE-3 acceptance benchmark.
+"""Incremental vs full republish after a single-tuple update.
 
 After a single-tuple update to a registrar database, the delta-driven
 :meth:`~repro.engine.plan.PublishingPlan.republish` must be at least 5x
@@ -6,7 +6,7 @@ faster than a from-scratch publish of the updated instance (the full
 republish, evaluated on a cold plan -- what a non-incremental system does on
 every source change) while producing a byte-identical document.
 
-Two updates are measured, each also a correctness check against the
+Three updates are measured, each also a correctness check against the
 full-publish oracle:
 
 * ``registrar prereq insert``: one new ``prereq`` edge under the recursive
@@ -17,7 +17,12 @@ full-publish oracle:
   chain-of-diamonds instance under the Proposition 1(3) unfolding
   transducer, where the output is exponentially larger than the source (an
   informational metric -- both sides already benefit from the engine's
-  structural sharing, so the margin is smaller than on the registrar).
+  structural sharing, so the margin is smaller than on the registrar);
+* ``default-routed publish``: the serving path with no option set --
+  ``SourceHandle.commit`` of one ``prereq`` edge, then
+  ``ViewServer.publish(output="bytes")`` of the new version, which migrates
+  the parent version's cached state -- against a fresh plan's
+  ``publish_bytes`` of the same version; it must be at least 4x faster.
 
 As with the other benchmarks, ratios are attached to the pytest-benchmark
 JSON via ``extra_info``; the module is also runnable directly -- ``python
@@ -27,12 +32,15 @@ which is what the CI smoke step does.
 
 from __future__ import annotations
 
+import gc
 import json
+import statistics
 import sys
 import time
 
 from repro.engine import compile_plan
 from repro.relational.delta import Delta
+from repro.serve import ViewServer
 from repro.workloads.blowup import (
     chain_of_diamonds_instance,
     chain_of_diamonds_transducer,
@@ -43,6 +51,9 @@ from repro.xmltree.serialize import to_xml
 #: The acceptance threshold for the single-tuple registrar update.
 MIN_SPEEDUP = 5.0
 
+#: The acceptance threshold for the default-routed serving publish.
+MIN_DEFAULT_ROUTED_SPEEDUP = 4.0
+
 
 def _time(fn):
     start = time.perf_counter()
@@ -50,11 +61,32 @@ def _time(fn):
     return result, time.perf_counter() - start
 
 
-def _measured_seconds(benchmark, fn):
-    """Mean benchmark time, falling back to one timed run under --benchmark-disable."""
+def _measured_seconds(benchmark, fn, setup):
+    """Mean benchmark time, falling back to one timed run (after ``setup``)
+    under --benchmark-disable."""
     if benchmark.stats is not None:
         return benchmark.stats.stats.mean
-    return _time(fn)[1]
+    args, _ = setup()
+    return _time(lambda: fn(*args))[1]
+
+
+def _warm_on(plan, base):
+    """A pedantic set-up: the plan's caches warm on ``base`` only.
+
+    The child version's state stays cached after one republish, so every
+    round starts over from the parent; the round's ``prev_tree`` is the
+    tree that parent publish built (so unchanged subtrees are shared with
+    the new tree, as in steady-state use), and the set-up's garbage is
+    collected rather than charged to the round.
+    """
+
+    def setup():
+        plan.clear_cache()
+        prev_tree = plan.publish(base)
+        gc.collect()
+        return (prev_tree,), {}
+
+    return setup
 
 
 def measure_registrar_single_insert(num_courses: int = 300) -> dict:
@@ -117,26 +149,79 @@ def measure_blowup_edge_delete(diamonds: int = 12) -> dict:
     }
 
 
+def measure_default_routed_publish(num_courses: int = 300, commits: int = 5) -> dict:
+    """A served bytes publish after each single-tuple commit vs a fresh plan.
+
+    Both sides render the same freshly committed version; the served side
+    takes no option, so its speed comes from the engine migrating the
+    parent version's state.  Medians over ``commits`` commits.
+    """
+    tau = tau1_prerequisite_hierarchy()
+    base = generate_registrar_instance(num_courses, max_prereqs=2, depth=6, seed=11)
+    server = ViewServer(max_nodes=10**7)
+    server.register_view("hierarchy", tau)
+    handle = server.attach(base)
+    server.publish("hierarchy", output="bytes")
+    names = sorted(row[0] for row in base["course"])
+    served_seconds, fresh_seconds = [], []
+    for index in range(commits):
+        edge = (names[7 + index], names[3 + index])
+        assert edge not in handle.instance["prereq"].tuples
+        handle.commit(Delta.insert("prereq", edge))
+        served, seconds = _time(lambda: server.publish("hierarchy", output="bytes"))
+        served_seconds.append(seconds)
+        fresh = compile_plan(tau, max_nodes=10**7)
+        expected, seconds = _time(lambda: fresh.publish_bytes(handle.instance))
+        fresh_seconds.append(seconds)
+        assert served == expected
+    served_median = statistics.median(served_seconds)
+    fresh_median = statistics.median(fresh_seconds)
+    return {
+        "num_courses": num_courses,
+        "commits": commits,
+        "document_bytes": len(served),
+        "served_median_seconds": served_median,
+        "fresh_median_seconds": fresh_median,
+        "fresh_over_served_ratio": fresh_median / served_median,
+    }
+
+
+def test_default_routed_publish_vs_fresh_plan(benchmark):
+    """The serving path migrates by itself: >= 4x over a fresh-plan render."""
+
+    def run():
+        return measure_default_routed_publish(300, commits=5)
+
+    report = benchmark.pedantic(run, rounds=1, iterations=1)
+    if report is None:  # pragma: no cover - benchmark-disable quirk
+        report = run()
+    benchmark.extra_info.update(report)
+    assert report["fresh_over_served_ratio"] >= MIN_DEFAULT_ROUTED_SPEEDUP
+
+
 def test_incremental_republish_vs_full(benchmark):
     """The acceptance criterion: incremental republish >= 5x over full."""
     tau = tau1_prerequisite_hierarchy()
     base = generate_registrar_instance(300, max_prereqs=2, depth=6, seed=11)
     delta = Delta.insert("prereq", ("cs0007", "cs0003"))
     warm = compile_plan(tau, max_nodes=10**7)
-    prev_tree = warm.publish(base)
     updated = base.apply_delta(delta)
     full_tree, full_seconds = _time(
         lambda: compile_plan(tau, max_nodes=10**7).publish(updated)
     )
 
-    def incremental():
+    def incremental(prev_tree):
         return warm.republish(base, delta, prev_tree=prev_tree)
 
-    result = benchmark(incremental)
+    result = benchmark.pedantic(
+        incremental, setup=_warm_on(warm, base), rounds=15, warmup_rounds=3
+    )
+    if result is None:  # pragma: no cover - benchmark-disable quirk
+        result = incremental(*_warm_on(warm, base)()[0])
     assert result.tree == full_tree
     assert to_xml(result.tree) == to_xml(full_tree)
 
-    incremental_seconds = _measured_seconds(benchmark, incremental)
+    incremental_seconds = _measured_seconds(benchmark, incremental, _warm_on(warm, base))
     ratio = full_seconds / incremental_seconds
     benchmark.extra_info["full_seconds"] = full_seconds
     benchmark.extra_info["incremental_seconds"] = incremental_seconds
@@ -152,19 +237,22 @@ def test_blowup_edge_delete_vs_full(benchmark):
     base = chain_of_diamonds_instance(10)
     delta = Delta.delete("R", ("a0", "b0_1"))
     warm = compile_plan(tau, max_nodes=10**7)
-    prev_tree = warm.publish(base)
     updated = base.apply_delta(delta)
     full_tree, full_seconds = _time(
         lambda: compile_plan(tau, max_nodes=10**7).publish(updated)
     )
 
-    def incremental():
+    def incremental(prev_tree):
         return warm.republish(base, delta, prev_tree=prev_tree)
 
-    result = benchmark(incremental)
+    result = benchmark.pedantic(
+        incremental, setup=_warm_on(warm, base), rounds=15, warmup_rounds=3
+    )
+    if result is None:  # pragma: no cover - benchmark-disable quirk
+        result = incremental(*_warm_on(warm, base)()[0])
     assert result.tree == full_tree
 
-    incremental_seconds = _measured_seconds(benchmark, incremental)
+    incremental_seconds = _measured_seconds(benchmark, incremental, _warm_on(warm, base))
     benchmark.extra_info["full_seconds"] = full_seconds
     benchmark.extra_info["incremental_seconds"] = incremental_seconds
     benchmark.extra_info["full_over_incremental_ratio"] = full_seconds / incremental_seconds
@@ -179,8 +267,12 @@ def main(argv: list[str]) -> int:
             150 if quick else 300
         ),
         "blowup_edge_delete": measure_blowup_edge_delete(9 if quick else 12),
+        "default_routed_publish": measure_default_routed_publish(
+            150 if quick else 300
+        ),
     }
     print(json.dumps(report, indent=2))
+    failed = False
     ratio = report["registrar_single_insert"]["full_over_incremental_ratio"]
     if ratio < MIN_SPEEDUP:
         print(
@@ -188,8 +280,16 @@ def main(argv: list[str]) -> int:
             f"(required: {MIN_SPEEDUP}x)",
             file=sys.stderr,
         )
-        return 1
-    return 0
+        failed = True
+    ratio = report["default_routed_publish"]["fresh_over_served_ratio"]
+    if ratio < MIN_DEFAULT_ROUTED_SPEEDUP:
+        print(
+            f"FAIL: default-routed publish after a commit only {ratio:.1f}x "
+            f"over a fresh-plan render (required: {MIN_DEFAULT_ROUTED_SPEEDUP}x)",
+            file=sys.stderr,
+        )
+        failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

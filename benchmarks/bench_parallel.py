@@ -118,7 +118,6 @@ def _storm_requests(handle, bindings) -> list[dict]:
             params={"department": dept},
             source=handle,
             output="bytes",
-            maintenance="full",
         )
         for view, dept in bindings
     ]
@@ -149,7 +148,7 @@ def measure_publish_storm(chain: int, rounds: int) -> dict:
         server.publish_batch(requests)  # warm-up: compile plans, start pool
         documents, elapsed = [], 0.0
         for delta in deltas:
-            handle.commit(delta)  # a new version: every render is cold
+            handle.commit(delta)
             batch, seconds = _time(lambda: server.publish_batch(requests))
             documents.append(batch)
             elapsed += seconds

@@ -9,17 +9,19 @@ paid for the same request:
 
 * **steady-state full publish** -- a server answering repeated ``GET
   /publish`` requests for an unchanged source.  Baseline: one full
-  event-streamed render per request (:func:`repro.serve.publish_document` on
-  a warm plan -- the pre-PR cost of every serialised response).  New path:
+  event-streamed render per request (``publish_events`` through an
+  ``IncrementalXmlSerializer`` on a warm plan -- the pre-PR cost of every
+  serialised response).  New path:
   ``server.publish(output="bytes")``, which is a rendered-document handoff
   after the first request.  **Asserted >= 3x.**
 
 * **republish after a delta** -- a commit arrives, the next request wants
-  the new document.  Baseline: ``apply_delta`` + a full re-render, the
-  pre-PR cost of a serialised response to a changed source.  New path:
-  ``handle.commit`` + ``publish(output="bytes", maintenance="incremental")``,
-  which migrates the rendered-span cache and re-renders only invalidated
-  spans.  **Asserted >= 3x.**
+  the new document.  Baseline: ``apply_delta`` + a full event-streamed
+  re-render with the plan's cached state dropped first, the pre-PR cost of
+  a serialised response to a changed source.  New path: ``handle.commit`` +
+  ``publish(output="bytes")``, whose first publish of the new version
+  migrates the parent's rendered-span cache and re-renders only
+  invalidated spans.  **Asserted >= 3x.**
 
 * **truly cold first render** -- a fresh plan's very first publish.  Both
   paths pay the full expansion evaluation here (the shared floor is the
@@ -40,11 +42,12 @@ import time
 
 from repro.engine import compile_plan
 from repro.relational.delta import Delta
-from repro.serve import ViewServer, publish_document
+from repro.serve import ViewServer
 from repro.workloads.registrar import (
     generate_registrar_instance,
     tau1_prerequisite_hierarchy,
 )
+from repro.xmltree.serialize import IncrementalXmlSerializer
 
 #: The acceptance threshold of the serialization PR's serving scenarios.
 MIN_PUBLISH_SPEEDUP = 3.0
@@ -54,6 +57,11 @@ def _time(fn):
     start = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - start
+
+
+def streamed_document(plan, instance) -> str:
+    """The event-streamed render: ``publish_events`` through the serialiser."""
+    return IncrementalXmlSerializer().feed_all(plan.publish_events(instance)).finish()
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -73,12 +81,12 @@ def measure_steady_state(
     baseline_plan = compile_plan(tau, max_nodes=10**7)
 
     served = server.publish("tau1", output="bytes")
-    rendered = publish_document(baseline_plan, instance)
+    rendered = streamed_document(baseline_plan, instance)
     assert served == rendered  # byte identity before any ratio
 
     def old_world():
         for _ in range(iterations):
-            publish_document(baseline_plan, instance)
+            streamed_document(baseline_plan, instance)
 
     def bytes_path():
         for _ in range(iterations):
@@ -110,30 +118,31 @@ def measure_republish_after_delta(num_courses: int = 150, commits: int = 10) -> 
     server = ViewServer(max_nodes=10**7)
     server.register_view("tau1", tau)
     handle = server.attach(base, name="reg", encoded=True)
-    server.publish("tau1", output="bytes", maintenance="incremental")  # seed the chain
+    server.publish("tau1", output="bytes")  # warm the base version
 
     def serve_commits():
         documents = []
         for delta in deltas:
             handle.commit(delta)
-            documents.append(
-                server.publish("tau1", output="bytes", maintenance="incremental")
-            )
+            documents.append(server.publish("tau1", output="bytes"))
         return documents
 
     documents, new_seconds = _time(serve_commits)
 
     # The pre-PR consumer: every commit forces a full render of the new
     # version (serialised outputs had no incremental path to speak of).
+    # The plan's cached state is dropped first: a child version would
+    # otherwise migrate its parent's state.
     baseline_plan = compile_plan(tau, max_nodes=10**7)
-    publish_document(baseline_plan, base)  # warm the plan on the base version
+    streamed_document(baseline_plan, base)  # compile-time warm-up
 
     def rerender_commits():
         instance = base
         documents = []
         for delta in deltas:
             instance = instance.apply_delta(delta)
-            documents.append(publish_document(baseline_plan, instance))
+            baseline_plan.clear_cache()
+            documents.append(streamed_document(baseline_plan, instance))
         return documents
 
     oracle_documents, old_seconds = _time(rerender_commits)
@@ -153,7 +162,7 @@ def measure_cold_render(num_courses: int = 150, repeats: int = 3) -> dict:
     instance = generate_registrar_instance(num_courses, max_prereqs=2, depth=6, seed=11)
 
     def cold_document():
-        return publish_document(compile_plan(tau, max_nodes=10**7), instance)
+        return streamed_document(compile_plan(tau, max_nodes=10**7), instance)
 
     def cold_bytes():
         return compile_plan(tau, max_nodes=10**7).publish_bytes(

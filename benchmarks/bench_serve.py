@@ -5,12 +5,17 @@ the registrar workload:
 
 * **dispatch overhead** -- routing a publish through
   :meth:`~repro.serve.server.ViewServer.publish` (view resolution, binding
-  validation, source/version resolution, backend and maintenance routing)
-  must cost at most 10% over calling the engine directly.  Both sides run
-  the identical inner work -- a full event-streamed serialisation of the
-  view (``output="bytes"`` with ``maintenance="full"`` vs
-  :func:`repro.serve.publish_document` on the compiled plan) -- so the
-  measured gap is purely the facade.
+  validation, source/version resolution, backend routing) must cost at most
+  10% over calling the engine directly.  Both sides run the identical inner
+  work under the same cache state: after every single-tuple commit, the
+  freshly committed version renders through ``publish_bytes`` from its
+  parent's migrated state -- ``server.publish(output="bytes")`` on one side,
+  ``plan.publish_bytes`` on an identically warmed plan and instance chain on
+  the other -- so the measured gap is purely the facade.  On a cache-hot
+  document (an unchanged version, answered from the rendered-span cache in
+  a few microseconds) the facade is a fixed cost of a few microseconds
+  that no ratio describes fairly, so that pair reports microseconds per
+  call and is not gated.
 
 * **subscription delivery** -- consuming a stream of single-tuple commits
   through :meth:`~repro.serve.server.ViewServer.subscribe` (one
@@ -28,12 +33,13 @@ is what the CI smoke step and ``run_all.py`` use.
 from __future__ import annotations
 
 import json
+import statistics
 import sys
 import time
 
 from repro.engine import compile_plan
 from repro.relational.delta import Delta
-from repro.serve import ViewServer, publish_document
+from repro.serve import ViewServer
 from repro.workloads.registrar import (
     generate_registrar_instance,
     tau1_prerequisite_hierarchy,
@@ -49,13 +55,6 @@ def _time(fn):
     start = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - start
-
-
-def _measured_seconds(benchmark, fn):
-    """Mean benchmark time, falling back to one timed run under --benchmark-disable."""
-    if benchmark.stats is not None:
-        return benchmark.stats.stats.mean
-    return _time(fn)[1]
 
 
 def _single_tuple_deltas(instance, count: int) -> list[Delta]:
@@ -76,41 +75,70 @@ def _single_tuple_deltas(instance, count: int) -> list[Delta]:
     return deltas
 
 
-def measure_dispatch_overhead(
-    num_courses: int = 300, iterations: int = 20, repeats: int = 3
-) -> dict:
-    """Raw numbers for the facade-overhead comparison (test and script)."""
+def _served_and_direct(num_courses: int):
+    """A server and a bare plan over the same data, equally warm."""
     tau = tau1_prerequisite_hierarchy()
     instance = generate_registrar_instance(num_courses, max_prereqs=2, depth=6, seed=11)
-
     server = ViewServer(max_nodes=10**7)
     server.register_view("hierarchy", tau)
     handle = server.attach(instance)
-    plan = server.view("hierarchy").plan_for(None)
+    plan = compile_plan(tau, max_nodes=10**7)
+    assert server.publish("hierarchy", output="bytes") == plan.publish_bytes(instance)
+    return server, handle, plan, instance
 
-    def through_server():
-        for _ in range(iterations):
-            server.publish("hierarchy", output="bytes", maintenance="full")
 
-    def direct():
-        for _ in range(iterations):
-            publish_document(plan, instance)
+def measure_dispatch_overhead(
+    num_courses: int = 300, commits: int = 24, repeats: int = 3, hot_calls: int = 2000
+) -> dict:
+    """Raw numbers for the facade-overhead comparison (test and script).
 
-    served = server.publish("hierarchy", output="bytes", maintenance="full")
-    assert served == publish_document(plan, handle.instance)  # byte identity
-    through_server()  # warm both paths once before timing
-    direct()
-    # Best-of-N interleaved pairs: the inner work is identical, so the
-    # minimum of each side is the least-noisy estimate of the true cost.
-    server_seconds = min(_time(through_server)[1] for _ in range(repeats))
-    direct_seconds = min(_time(direct)[1] for _ in range(repeats))
-    overhead = server_seconds / direct_seconds - 1.0
+    Gated pair: after each single-tuple commit both sides render the freshly
+    committed version (the parent's state migrated, the rest rendered), in
+    alternating order.  The overhead is the median of the per-commit time
+    ratios: each ratio compares the same version, so the document growing
+    along the commit chain cancels out, and the median ignores collector
+    pauses landing on one side.  Reported pair: the cache-hot publish of an
+    unchanged version, in microseconds per call.
+    """
+    server, handle, plan, instance = _served_and_direct(num_courses)
+    ratios = []
+    server_seconds = direct_seconds = 0.0
+    for step, delta in enumerate(_single_tuple_deltas(instance, commits)):
+        handle.commit(delta)
+        instance = instance.apply_delta(delta)
+        sides = {
+            "server": lambda: server.publish("hierarchy", output="bytes"),
+            "direct": lambda: plan.publish_bytes(instance),
+        }
+        timed = {}
+        for side in sorted(sides, reverse=step % 2 == 1):
+            timed[side] = _time(sides[side])
+        assert timed["server"][0] == timed["direct"][0]  # byte identity
+        server_seconds += timed["server"][1]
+        direct_seconds += timed["direct"][1]
+        ratios.append(timed["server"][1] / timed["direct"][1])
+
+    # The cache-hot pair: the latest version again, from the span cache.
+    def hot_server():
+        for _ in range(hot_calls):
+            server.publish("hierarchy", output="bytes")
+
+    def hot_direct():
+        for _ in range(hot_calls):
+            plan.publish_bytes(instance)
+
+    hot_server_us = min(_time(hot_server)[1] for _ in range(repeats)) / hot_calls * 1e6
+    hot_direct_us = min(_time(hot_direct)[1] for _ in range(repeats)) / hot_calls * 1e6
     return {
         "num_courses": num_courses,
-        "iterations": iterations,
+        "commits": commits,
         "server_seconds": server_seconds,
         "direct_seconds": direct_seconds,
-        "dispatch_overhead": overhead,
+        "dispatch_overhead": statistics.median(ratios) - 1.0,
+        "hot_calls": hot_calls,
+        "hot_server_us_per_call": hot_server_us,
+        "hot_direct_us_per_call": hot_direct_us,
+        "hot_facade_us_per_call": hot_server_us - hot_direct_us,
     }
 
 
@@ -173,35 +201,16 @@ def measure_subscription_delivery(
 
 
 def test_dispatch_overhead_within_bound(benchmark):
-    """The acceptance criterion: <= 10% facade overhead vs direct calls."""
-    tau = tau1_prerequisite_hierarchy()
-    instance = generate_registrar_instance(200, max_prereqs=2, depth=6, seed=11)
-    server = ViewServer(max_nodes=10**7)
-    server.register_view("hierarchy", tau)
-    server.attach(instance)
-    plan = server.view("hierarchy").plan_for(None)
+    """The acceptance criterion: <= 10% facade overhead vs direct calls,
+    both rendering freshly committed versions from migrated state."""
 
-    def through_server():
-        return server.publish("hierarchy", output="bytes", maintenance="full")
+    def run():
+        return measure_dispatch_overhead(200, commits=12, hot_calls=500)
 
-    served = benchmark(through_server)
-    assert served == publish_document(plan, instance)
-
-    if benchmark.stats is not None:
-        server_seconds = benchmark.stats.stats.min
-    else:
-        server_seconds = _time(through_server)[1]
-    direct_seconds = min(
-        _time(lambda: publish_document(plan, instance))[1] for _ in range(5)
-    )
-    overhead = server_seconds / direct_seconds - 1.0
-    benchmark.extra_info["server_seconds"] = server_seconds
-    benchmark.extra_info["direct_seconds"] = direct_seconds
-    benchmark.extra_info["dispatch_overhead"] = overhead
-    assert overhead <= MAX_DISPATCH_OVERHEAD
-
-    report = measure_dispatch_overhead(200, iterations=10)
-    benchmark.extra_info["interleaved_overhead"] = report["dispatch_overhead"]
+    report = benchmark.pedantic(run, rounds=1, iterations=1)
+    if report is None:  # pragma: no cover - benchmark-disable quirk
+        report = run()
+    benchmark.extra_info.update(report)
     assert report["dispatch_overhead"] <= MAX_DISPATCH_OVERHEAD
 
 
@@ -222,9 +231,7 @@ def test_subscription_delivery_vs_republish_and_diff(benchmark):
 
 def main(argv: list[str]) -> int:
     quick = "--quick" in argv
-    dispatch = measure_dispatch_overhead(
-        150 if quick else 300, iterations=10 if quick else 20
-    )
+    dispatch = measure_dispatch_overhead(150 if quick else 300, commits=12 if quick else 24)
     subscription = measure_subscription_delivery(
         150 if quick else 300, commits=8 if quick else 12
     )
@@ -239,7 +246,8 @@ def main(argv: list[str]) -> int:
     if dispatch["dispatch_overhead"] > MAX_DISPATCH_OVERHEAD:
         print(
             f"FAIL: serving facade adds {dispatch['dispatch_overhead']:.1%} "
-            f"over direct engine calls (allowed: {MAX_DISPATCH_OVERHEAD:.0%})",
+            f"over direct engine calls on freshly committed versions "
+            f"(allowed: {MAX_DISPATCH_OVERHEAD:.0%})",
             file=sys.stderr,
         )
         failed = True

@@ -6,8 +6,8 @@ database of Example 1.1 with the three Figure 1 views registered as
 bound constant pushed into the query plans' indexed scans).  The demo then
 walks the serving feature set:
 
-* one ``publish`` call routing output form, execution backend and
-  maintenance strategy;
+* one ``publish`` call routing output form and execution backend (a
+  publish after a commit is incremental by itself);
 * MVCC snapshots: a reader pinned to the pre-update version keeps reading
   it, byte-for-byte, while commits advance the source;
 * subscriptions: each commit delivers an

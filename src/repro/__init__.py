@@ -36,7 +36,6 @@ from repro.engine import (
     TransducerBuilder,
     compile_plan,
 )
-from repro.incremental import IncrementalPublisher
 from repro.query import QueryPlan, plan_query
 from repro.relational import Delta, Instance, RelationalSchema
 from repro.serve import (
@@ -55,7 +54,6 @@ __all__ = [
     "Delta",
     "EditScript",
     "Engine",
-    "IncrementalPublisher",
     "Instance",
     "PublishingPlan",
     "PublishingTransducer",

@@ -23,9 +23,9 @@ layer entirely:
   parallel to the structural subtree cache of tree mode: reuse requires the
   current root-to-node path to be disjoint from the subtree's configuration
   set (stop-condition safety), reuse charges the node budget the subtree's
-  traversal would have charged, and :meth:`PublishingPlan.republish`
-  migrates entries across versions with per-rule invalidation and lazy
-  confirmation.  A republish therefore re-renders only invalidated spans,
+  traversal would have charged, and the migration to a child version
+  carries entries over with per-rule invalidation and lazy confirmation.
+  A publish after a commit therefore re-renders only invalidated spans,
   and a cache-hot publish of an unchanged document is a buffer handoff.
 
 Output is **byte-identical** to the established serialisers on every

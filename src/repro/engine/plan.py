@@ -34,11 +34,8 @@ Three evaluation modes share that machinery:
   virtual-tag elimination done on the fly, so Proposition 1 blow-ups can be
   serialised without ever materialising the tree.
 
-These (plus :meth:`~PublishingPlan.republish` below) are the core drivers
-the serving layer (:class:`repro.serve.ViewServer`) routes onto; the batch
-and serialisation conveniences (:meth:`~PublishingPlan.publish_many`,
-:meth:`~PublishingPlan.publish_iter`, :meth:`~PublishingPlan.publish_xml`)
-are deprecated shims delegating to :mod:`repro.serve.oneshot`.
+These, plus the bytes-native :meth:`PublishingPlan.publish_bytes`, are the
+core drivers the serving layer (:class:`repro.serve.ViewServer`) routes onto.
 
 On instances carrying a dictionary encoding
 (:func:`repro.relational.columnar.ensure_encoded`) the whole pipeline runs
@@ -49,27 +46,28 @@ overlay instance, no per-node schema extension), and values are decoded only
 where text is emitted or sibling order consults the implicit order on ``D``.
 Output is byte-identical with the encoding on or off.
 
-On top of them sits **incremental view maintenance**
-(:meth:`PublishingPlan.republish`): given a source
-:class:`~repro.relational.delta.Delta`, the per-instance caches migrate to
-the updated instance instead of being discarded.  Memoised expansions are
-invalidated *per rule*: only ``(state, tag, register)`` entries whose rule
-queries read a changed relation are dropped (``cache_stats`` counts them as
-``invalidated`` vs ``retained``), and whole previously-built subtrees are
-reused by object identity when every configuration inside them provably
-re-expands the same way -- which also makes the
-:func:`~repro.xmltree.diff.diff_trees` edit script between the old and new
-documents cheap to compute.  Incremental output is always equal -- tree- and
-byte-wise -- to a from-scratch publish; the full republish stays as the
-executable specification and differential oracle.
+Underneath all of them sits **incremental view maintenance**, with no mode
+to select: an instance built by
+:meth:`~repro.relational.instance.Instance.apply_delta` remembers its parent
+(weakly) and the :class:`~repro.relational.delta.Delta` between them, so the
+first publish of a child version migrates the parent's cached state instead
+of starting cold.  Memoised expansions are invalidated *per rule*: only
+``(state, tag, register)`` entries whose rule queries read a changed
+relation are dropped (``cache_stats`` counts them as ``invalidated`` vs
+``retained``), and whole previously-built subtrees and rendered spans are
+reused when every configuration inside them provably re-expands the same
+way.  :meth:`PublishingPlan.republish` adds the
+:func:`~repro.xmltree.diff.diff_trees` edit script between the two
+documents, which structural sharing keeps cheap.  Migrated output is always
+equal -- tree- and byte-wise -- to a from-scratch publish on a fresh plan,
+which stays the executable specification and differential oracle.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.core.rules import GENERIC_REGISTER_NAME, RuleQuery, register_relation_name
 from repro.core.runtime import (
@@ -97,16 +95,6 @@ Triple = tuple[str, str, RegisterContent]
 #: subtrees are rebuilt from the (still memoised) expansions instead, which
 #: bounds the bookkeeping cost of structural sharing on blow-up outputs.
 _SUBTREE_TRIPLE_LIMIT = 4096
-
-def _warn_deprecated(method: str, replacement: str) -> None:
-    """One :class:`DeprecationWarning` per callsite (the ``default`` filter
-    keys on the caller's file and line) pointing at the serving layer."""
-    warnings.warn(
-        f"PublishingPlan.{method}() is deprecated; use {replacement}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 def _shadowed_names(tag: str) -> frozenset[str]:
     """The relation names the register overlay shadows for ``tag``-nodes."""
@@ -156,10 +144,11 @@ class CacheStats:
     instances:
         Distinct per-instance caches created (including migrated versions).
     invalidated:
-        Memoised expansions dropped by :meth:`PublishingPlan.republish`
-        because their rule queries read a changed relation.
+        Memoised expansions dropped when a child version's state migrated
+        from its parent's, because their rule queries read a changed
+        relation.
     retained:
-        Memoised expansions carried over across :meth:`republish` untouched.
+        Memoised expansions carried over to a child version untouched.
     rendered_hits:
         Pre-rendered byte spans reused by the bytes-native publish path
         (:meth:`PublishingPlan.publish_bytes`).
@@ -273,7 +262,7 @@ class _InstanceState:
     """Everything the plan caches for one source instance.
 
     ``subtrees`` holds :class:`_SubtreeEntry` values known to be valid for
-    this instance; after a :meth:`PublishingPlan.republish` migration,
+    this instance; after a migration from the parent version's state,
     entries touching an invalidated ``(state, tag)`` pair are parked in
     ``suspects`` and confirmed lazily against ``prior_expansions`` (the
     expansions the previous version memoised for the invalidated pairs): a
@@ -289,6 +278,8 @@ class _InstanceState:
     instead, so they survive version migrations for free); it carries over
     across migrations unconditionally because a text node's rendering is a
     function of its register alone, never of the source instance.
+    ``invalidated`` / ``retained`` count what that migration dropped and
+    kept (both zero on a cold start).
     """
 
     __slots__ = (
@@ -307,6 +298,8 @@ class _InstanceState:
         "prior_instance",
         "delta",
         "pair_checks",
+        "invalidated",
+        "retained",
     )
 
     def __init__(self, instance: Instance) -> None:
@@ -317,7 +310,7 @@ class _InstanceState:
         # the columnar kernel, and values are decoded only where text is
         # emitted.  Ids are stable across apply_delta migrations (the
         # encoder is append-only and shared along the version lineage), so
-        # encoded memo entries survive republish.
+        # encoded memo entries survive the migration to a child version.
         self.encoder = instance._encoding
         self.active_domain = instance.active_domain()
         self.ext_schemas: dict[tuple[str, int], RelationalSchema] = {}
@@ -336,6 +329,8 @@ class _InstanceState:
         # a list of (DeltaPlan, touched relations) or None for rules whose
         # queries cannot be checked cheaply (unplanned / non-monotone).
         self.pair_checks: dict[tuple[str, str], list | None] = {}
+        self.invalidated = 0
+        self.retained = 0
 
 
 class _Frame:
@@ -579,40 +574,6 @@ class PublishingPlan:
         budget = self._max_nodes if max_nodes is None else max_nodes
         return self._build_tree(state, budget)
 
-    def publish_many(
-        self, instances: Iterable[Instance], max_nodes: int | None = None
-    ) -> list[TreeNode]:
-        """Deprecated batch convenience; use the serving layer instead.
-
-        Delegates to :func:`repro.serve.publish_stream` (all instances of
-        the batch share this plan's LRU-bounded per-instance caches, as
-        before) and emits one :class:`DeprecationWarning` per callsite.  The
-        supported surface is :meth:`repro.serve.server.ViewServer.publish`
-        -- one call per source -- with :meth:`publish` remaining the core
-        single-instance driver.
-        """
-        from repro.serve.oneshot import publish_stream
-
-        _warn_deprecated(
-            "publish_many",
-            "ViewServer.publish (one call per source) or repro.serve.publish_stream",
-        )
-        return list(publish_stream(self, instances, max_nodes))
-
-    def publish_iter(
-        self, instances: Iterable[Instance], max_nodes: int | None = None
-    ) -> Iterator[TreeNode]:
-        """Deprecated lazy-batch convenience; use the serving layer instead.
-
-        Delegates to :func:`repro.serve.publish_stream` -- one tree yielded
-        per input instance, the input iterable advanced only on demand --
-        and emits one :class:`DeprecationWarning` per callsite.
-        """
-        from repro.serve.oneshot import publish_stream
-
-        _warn_deprecated("publish_iter", "repro.serve.publish_stream")
-        return publish_stream(self, instances, max_nodes)
-
     def publish_full(
         self, instance: Instance, max_nodes: int | None = None
     ) -> TransformationResult:
@@ -654,8 +615,8 @@ class PublishingPlan:
         fragments (per register, on the shared dictionary encoder when the
         instance is encoded), and the rendered span of every clean subtree
         is cached per ``(state, tag, register)`` configuration -- migrated
-        across :meth:`republish` exactly like the structural subtree cache,
-        so an incremental publish re-renders only invalidated spans and a
+        to child versions exactly like the structural subtree cache, so a
+        publish after a commit re-renders only invalidated spans and a
         cache-hot publish is a buffer handoff.  Output is byte-identical to
         serialising :meth:`publish` / :meth:`publish_events` with the
         matching ``indent`` (``indent=None`` matches the compact
@@ -674,29 +635,6 @@ class PublishingPlan:
             return ""
         return document
 
-    def publish_xml(
-        self,
-        instance: Instance,
-        indent: int | None = 2,
-        write=None,
-        max_nodes: int | None = None,
-    ) -> str:
-        """Deprecated serialisation convenience; use the serving layer instead.
-
-        Delegates to :func:`repro.serve.publish_document` (streaming into an
-        :class:`~repro.xmltree.serialize.IncrementalXmlSerializer`, with
-        ``write`` receiving chunks incrementally when given) and emits one
-        :class:`DeprecationWarning` per callsite.  The supported surface is
-        ``ViewServer.publish(view, output="bytes")``, which produces
-        byte-identical documents.
-        """
-        from repro.serve.oneshot import publish_document
-
-        _warn_deprecated("publish_xml", 'ViewServer.publish(view, output="bytes")')
-        return publish_document(
-            self, instance, indent=indent, write=write, max_nodes=max_nodes
-        )
-
     # -- incremental maintenance ----------------------------------------------
 
     def republish(
@@ -707,66 +645,37 @@ class PublishingPlan:
         prev_tree: TreeNode | None = None,
         max_nodes: int | None = None,
     ) -> RepublishResult:
-        """Incrementally re-evaluate after a source delta.
+        """Publish the version ``delta`` yields and diff it against ``prev``.
 
         ``prev`` is the previously published instance (or the
         :class:`RepublishResult` of the previous step, which chains
-        naturally).  The per-instance caches migrate to the updated
-        instance: only memoised ``(state, tag, register)`` expansions whose
-        rule queries read a relation the (normalized) delta actually touches
-        are dropped, everything else -- including previously built subtrees
-        proven unaffected -- is reused.  The result's tree and its
-        serialisation are always identical to ``publish`` on the updated
-        instance from scratch.
-
-        ``prev_tree`` (the previously published tree) is used as the edit
+        naturally).  This is :meth:`Instance.apply_delta` plus
+        :meth:`publish` plus :func:`~repro.xmltree.diff.diff_trees`: the
+        child version's publish migrates the previous version's caches by
+        itself.  ``prev_tree`` (the previously published tree) is the edit
         script's base; when omitted it is recovered with :meth:`publish`,
-        which is cheap while the previous instance's cache is still live.
+        which also warms the previous version's state for the migration.
         """
         if isinstance(prev, RepublishResult):
             if prev_tree is None:
                 prev_tree = prev.tree
-            prev_instance = prev.instance
-        else:
-            prev_instance = prev
-        budget = self._max_nodes if max_nodes is None else max_nodes
-        delta = delta.normalized(prev_instance)
-        changed = delta.touched_relations()
-        if not changed:
-            if prev_tree is None:
-                prev_tree = self._build_tree(self._instance_state(prev_instance), budget)
-            return RepublishResult(prev_instance, prev_tree, EditScript(), delta)
+            prev = prev.instance
         if prev_tree is None:
-            prev_tree = self.publish(prev_instance, max_nodes)
-        new_instance = prev_instance.apply_delta(delta)
-        with self._lock:
-            prev_state = self._states.get(prev_instance)
-        if prev_state is not None and prev_state.encoder is not new_instance._encoding:
-            # The representation changed mid-lineage (ensure_encoded was
-            # called after the previous publish): the memoised triples are
-            # in the other mode's register representation, so migrating
-            # them would corrupt the output.  Cold-start instead.
-            prev_state = None
-        invalidated = retained = 0
-        if prev_state is not None:
-            state, invalidated, retained = self._migrated_state(
-                prev_state, new_instance, delta
-            )
-            self._install_state(new_instance, state)
-            with self._lock:
-                self._invalidated += invalidated
-                self._retained += retained
-        else:
-            # The previous version's cache was evicted: cold start.
-            state = self._instance_state(new_instance)
-        new_tree = self._build_tree(state, budget)
+            prev_tree = self.publish(prev, max_nodes)
+        delta = delta.normalized(prev)
+        instance = prev.apply_delta(delta)
+        if instance is prev:
+            return RepublishResult(prev, prev_tree, EditScript(), delta)
+        state = self._instance_state(instance)
+        budget = self._max_nodes if max_nodes is None else max_nodes
+        tree = self._build_tree(state, budget)
         return RepublishResult(
-            new_instance,
-            new_tree,
-            diff_trees(prev_tree, new_tree),
+            instance,
+            tree,
+            diff_trees(prev_tree, tree),
             delta,
-            invalidated,
-            retained,
+            state.invalidated,
+            state.retained,
         )
 
     def _migrated_state(
@@ -774,7 +683,7 @@ class PublishingPlan:
         prev_state: _InstanceState,
         new_instance: Instance,
         delta: Delta,
-    ) -> tuple[_InstanceState, int, int]:
+    ) -> _InstanceState:
         """Carry a version's caches over to the updated instance.
 
         Expansions of ``(state, tag)`` pairs whose rule queries read a
@@ -785,6 +694,13 @@ class PublishingPlan:
         Everything else is retained outright.  Subtree entries touching an
         invalidated pair become suspects pending that confirmation.
         """
+        with self._lock:
+            # Memo writes are lock-free, so a concurrent publish of the
+            # parent may grow these dicts: iterate snapshots, never the
+            # live dicts.
+            expansions = prev_state.expansions.copy()
+            subtrees = prev_state.subtrees.copy()
+            renders = prev_state.renders.copy()
         changed = delta.touched_relations()
         invalid_pairs = frozenset(
             pair
@@ -799,7 +715,7 @@ class PublishingPlan:
         state.ext_schemas = prev_state.ext_schemas
         retained: dict[Triple, tuple[Triple, ...]] = {}
         prior: dict[Triple, tuple[Triple, ...]] = {}
-        for triple, expansion in prev_state.expansions.items():
+        for triple, expansion in expansions.items():
             if (triple[0], triple[1]) in invalid_pairs:
                 prior[triple] = expansion
             else:
@@ -807,12 +723,12 @@ class PublishingPlan:
         state.expansions = retained
         state.prior_expansions = prior
         state.invalid_pairs = invalid_pairs
-        for triple, entry in prev_state.subtrees.items():
+        for triple, entry in subtrees.items():
             if any((t[0], t[1]) in invalid_pairs for t in entry.triples):
                 state.suspects[triple] = entry
             else:
                 state.subtrees[triple] = entry
-        for key, rentry in prev_state.renders.items():
+        for key, rentry in renders.items():
             if any((t[0], t[1]) in invalid_pairs for t in rentry.triples):
                 state.render_suspects[key] = rentry
             else:
@@ -820,7 +736,9 @@ class PublishingPlan:
         # Text rendering is a function of the register alone; fragments
         # survive every delta.  (Encoded lineages intern on the encoder.)
         state.text_fragments = prev_state.text_fragments
-        return state, len(prior), len(retained)
+        state.invalidated = len(prior)
+        state.retained = len(retained)
+        return state
 
     def _confirm_triples(
         self, state: _InstanceState, triples: frozenset[Triple]
@@ -958,7 +876,7 @@ class PublishingPlan:
     ) -> _PairDelta:
         """Classify one rule's sensitivity to the migration delta.
 
-        Computed once per republish generation.  When every affected rule
+        Computed once per migration generation.  When every affected rule
         query admits register witnesses, the delta variants run *once per
         rule* -- the register scans overridden by the union of every
         invalidated register of this rule, insertions against the updated
@@ -1011,7 +929,7 @@ class PublishingPlan:
             state.prior_instance is None
             or state.prior_instance._encoding is not encoder
         ):
-            # Mixed-encoding lineage (should not happen via republish):
+            # Mixed-encoding lineage (migration checks the encoder):
             # no cheap per-register check is trustworthy.
             return _PAIR_RECOMPUTE
         for machinery, touched, witnesses in witnessed:
@@ -1061,7 +979,34 @@ class PublishingPlan:
 
     # -- instance cache -------------------------------------------------------
 
+    def holds_parent_state(self, instance: Instance) -> bool:
+        """Whether publishing ``instance`` here would migrate its parent's
+        cached state (see :meth:`_instance_state`) rather than start cold.
+
+        False when ``instance`` already has its own state: that publish is
+        a cache hit, not a migration.
+        """
+        lineage = instance._lineage
+        if lineage is None:
+            return False
+        parent = lineage[0]()
+        with self._lock:
+            if instance in self._states or parent is None:
+                return False
+            prev_state = self._states.get(parent)
+        return prev_state is not None and prev_state.encoder is instance._encoding
+
     def _instance_state(self, instance: Instance) -> _InstanceState:
+        """The per-instance cache of ``instance``: cached, migrated or new.
+
+        On a miss, an instance built by :meth:`Instance.apply_delta` whose
+        parent's state is still in the LRU -- and on the same encoder --
+        inherits it through :meth:`_migrated_state`, so every publish of a
+        child version is an incremental republish.  Otherwise (no lineage,
+        parent collected or evicted, representation changed by a late
+        ``ensure_encoded``) the state starts cold.
+        """
+        prev_state = None
         with self._lock:
             state = self._states.get(instance)
             if state is not None:
@@ -1072,30 +1017,34 @@ class PublishingPlan:
                 del self._states[instance]
                 self._states[instance] = state
                 return state
-        problems = self._transducer.validate_against_schema(instance.schema)
-        if problems:
-            raise ValueError("; ".join(problems))
-        state = _InstanceState(instance)
+            if instance._lineage is not None:
+                parent_ref, delta = instance._lineage
+                parent = parent_ref()
+                if parent is not None:
+                    prev_state = self._states.get(parent)
+        if prev_state is not None and prev_state.encoder is instance._encoding:
+            state = self._migrated_state(
+                prev_state, instance, delta.normalized(parent)
+            )
+        else:
+            problems = self._transducer.validate_against_schema(instance.schema)
+            if problems:
+                raise ValueError("; ".join(problems))
+            state = _InstanceState(instance)
         with self._lock:
             # A racing thread may have installed a state meanwhile; adopt
             # theirs so both publishes share one memo.
             existing = self._states.get(instance)
             if existing is not None:
                 return existing
-            self._install_state(instance, state)
-        return state
-
-    def _install_state(self, instance: Instance, state: _InstanceState) -> None:
-        """Insert a per-instance cache at the most-recently-used end."""
-        with self._lock:
-            if instance in self._states:
-                del self._states[instance]
             self._states[instance] = state
             self._instances_seen += 1
+            self._invalidated += state.invalidated
+            self._retained += state.retained
             while len(self._states) > self._cache_instances:
-                oldest = next(iter(self._states))
-                del self._states[oldest]
+                del self._states[next(iter(self._states))]
                 self._evictions += 1
+        return state
 
     # -- dispatch and expansion ----------------------------------------------
 
@@ -1278,7 +1227,7 @@ class PublishingPlan:
         stop-condition interference, configuration set within bounds) is
         cached per configuration in the instance state, so repeated
         configurations -- within one document, across repeated publishes and
-        across :meth:`republish` versions -- reuse the previously built
+        across migrated child versions -- reuse the previously built
         :class:`TreeNode` objects instead of re-walking the subtree.  Budget
         accounting and stop-condition semantics are unchanged: a reused
         subtree charges exactly the nodes it would have produced.

@@ -14,10 +14,12 @@ subsystem makes all four layers update-aware and ties them together:
   (:mod:`repro.query.delta`): the exact change in a plan's answers via the
   PR 2 per-occurrence semi-naive device, with a recomputation fallback for
   negation, flagged in ``explain()``;
-* **engine** -- :meth:`~repro.engine.plan.PublishingPlan.republish`:
-  fine-grained memo invalidation (only expansions whose rule queries read a
-  changed relation are dropped; ``cache_stats`` counts ``invalidated`` /
-  ``retained``) plus structural sharing of unchanged output subtrees;
+* **engine** -- every publish of a child version migrates its parent's
+  cached state: fine-grained memo invalidation (only expansions whose rule
+  queries read a changed relation are dropped; ``cache_stats`` counts
+  ``invalidated`` / ``retained``) plus structural sharing of unchanged
+  output subtrees; :meth:`~repro.engine.plan.PublishingPlan.republish`
+  adds the edit script;
 * **xmltree** -- :class:`~repro.xmltree.diff.EditScript` /
   :func:`~repro.xmltree.diff.diff_trees`: ship insert / delete /
   replace-subtree events instead of full documents.
@@ -25,11 +27,9 @@ subsystem makes all four layers update-aware and ties them together:
 The serving surface over this pipeline is :class:`repro.serve.ViewServer`:
 attach a source, subscribe to a view, and every
 :meth:`~repro.serve.server.SourceHandle.commit` delivers one edit script.
-:class:`IncrementalPublisher` (the original two-method facade) is kept as a
-deprecated shim over exactly that arrangement.  The full republish remains
-the executable specification and the differential oracle -- incremental
-output is always equal, tree- and byte-wise, to publishing the updated
-instance from scratch.
+A from-scratch publish on a fresh plan remains the executable specification
+and the differential oracle -- incremental output is always equal, tree-
+and byte-wise, to publishing the updated instance from scratch.
 
     >>> from repro.serve import ViewServer
     >>> server = ViewServer()                                 # doctest: +SKIP
@@ -42,7 +42,6 @@ instance from scratch.
 """
 
 from repro.engine.plan import RepublishResult
-from repro.incremental.publisher import IncrementalPublisher
 from repro.query.delta import QueryDelta
 from repro.relational.delta import Delta
 from repro.xmltree.diff import (
@@ -57,7 +56,6 @@ __all__ = [
     "DeleteSubtree",
     "Delta",
     "EditScript",
-    "IncrementalPublisher",
     "InsertSubtree",
     "QueryDelta",
     "ReplaceSubtree",

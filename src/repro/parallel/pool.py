@@ -17,7 +17,11 @@ Design:
   spawned) process holding a *registry* of installed objects.  The parent
   pickles a plan or instance **once** (:meth:`WorkerPool.install`) and
   ships the payload lazily to each worker the first time a task routed
-  there needs it -- "shipped once per worker", never once per task.
+  there needs it -- "shipped once per worker", never once per task.  An
+  instance made by :meth:`~repro.relational.instance.Instance.apply_delta`
+  from an instance the worker already holds ships as that delta instead:
+  the worker applies it to its copy, so the child carries the same lineage
+  there and the worker's plans migrate the parent's cached state.
 * **sharded dispatch.**  :meth:`WorkerPool.submit` takes an optional
   ``key``; equal keys always land on the same worker (`crc32` of the key's
   ``repr``), which gives subscriber groups a stable owner and publish
@@ -48,8 +52,9 @@ from zlib import crc32
 class NotShippable(RuntimeError):
     """The object cannot be pickled across the process boundary.
 
-    Raised by :meth:`WorkerPool.install`; call sites catch it and run the
-    task serially in the parent.
+    Raised by :meth:`WorkerPool.install` (or by :meth:`WorkerPool.submit`,
+    when a derived instance's full payload is first needed); call sites
+    catch it and run the task serially in the parent.
     """
 
 
@@ -85,6 +90,13 @@ def _registry_get(registry: dict, token: int):
     if isinstance(found, _InstallFailed):
         raise RuntimeError(f"install of token {token} failed: {found.reason}")
     return found
+
+
+def _pickled(obj) -> bytes:
+    try:
+        return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        raise NotShippable(f"cannot ship {type(obj).__name__}: {exc!r}") from exc
 
 
 def _cache_stats_delta(registry: dict, last: dict) -> dict:
@@ -130,6 +142,14 @@ def _worker_main(conn) -> None:
             _, token, payload = message
             try:
                 registry[token] = pickle.loads(payload)
+            except Exception as exc:  # noqa: BLE001 - reported to the parent
+                registry[token] = _InstallFailed(repr(exc))
+            continue
+        if kind == "derive":
+            _, token, parent_token, delta = message
+            try:
+                parent = _registry_get(registry, parent_token)
+                registry[token] = parent.apply_delta(pickle.loads(delta))
             except Exception as exc:  # noqa: BLE001 - reported to the parent
                 registry[token] = _InstallFailed(repr(exc))
             continue
@@ -202,13 +222,17 @@ class WorkerPool:
         self._task_ids = itertools.count(1)
         self._token_ids = itertools.count(1)
         self._round_robin = itertools.count()
-        # token -> (object, payload).  The object reference keeps id()s
-        # stable for the identity-keyed lookup below.
-        self._installed: dict[int, tuple[object, bytes]] = {}
+        # token -> [object, payload, derivation].  The object reference
+        # keeps id()s stable for the identity-keyed lookup below.  A
+        # derivation is (parent token, pickled delta) for an instance whose
+        # parent was installed first; its full payload is pickled only when
+        # a worker without that parent needs it.
+        self._installed: dict[int, list] = {}
         self._tokens_by_id: dict[int, int] = {}
         self._counters = {
             "tasks_dispatched": 0,
             "installs_shipped": 0,
+            "installs_derived": 0,
             "failures": 0,
             "span_merges": 0,
         }
@@ -280,23 +304,42 @@ class WorkerPool:
         serial-fallback signal.  The payload ships to each worker lazily on
         first use.  Idempotent per object (identity-keyed), and the pool
         keeps the object alive so the identity key stays valid.
+
+        An instance whose lineage parent is installed pickles only its
+        delta here; a worker holding the parent receives that delta, any
+        other worker the full instance.
         """
         with self._lock:
             token = self._tokens_by_id.get(id(obj))
             if token is not None and self._installed[token][0] is obj:
                 return token
-        try:
-            payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            raise NotShippable(f"cannot ship {type(obj).__name__}: {exc!r}") from exc
+        payload, derivation = None, self._derivation(obj)
+        if derivation is None:
+            payload = _pickled(obj)
         with self._lock:
             token = self._tokens_by_id.get(id(obj))
             if token is not None and self._installed[token][0] is obj:
                 return token
             token = next(self._token_ids)
-            self._installed[token] = (obj, payload)
+            self._installed[token] = [obj, payload, derivation]
             self._tokens_by_id[id(obj)] = token
         return token
+
+    def _derivation(self, obj) -> tuple[int, bytes] | None:
+        """``(parent token, pickled delta)`` when ``obj`` was derived from
+        an installed instance, else ``None``."""
+        lineage = getattr(obj, "_lineage", None)
+        parent = lineage[0]() if lineage is not None else None
+        if parent is None:
+            return None
+        with self._lock:
+            token = self._tokens_by_id.get(id(parent))
+            if token is None or self._installed[token][0] is not parent:
+                return None
+        try:
+            return token, pickle.dumps(lineage[1], protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            return None
 
     def _ship(self, worker: _Worker, tokens) -> None:
         """Send any not-yet-shipped payloads to ``worker`` (FIFO-ordered
@@ -309,9 +352,16 @@ class WorkerPool:
                 entry = self._installed.get(token)
             if entry is None:
                 raise KeyError(f"unknown install token {token}")
+            obj, payload, derivation = entry
+            if derivation is not None and derivation[0] in worker.installed:
+                message = ("derive", token, *derivation)
+            else:
+                if payload is None:
+                    payload = entry[1] = _pickled(obj)
+                message = ("install", token, payload)
             try:
                 with worker.send_lock:
-                    worker.conn.send(("install", token, entry[1]))
+                    worker.conn.send(message)
             except (OSError, ValueError) as exc:
                 # The reader thread marks a dead worker asynchronously, so a
                 # crash can surface here first, as a broken pipe.
@@ -321,7 +371,9 @@ class WorkerPool:
                 ) from exc
             worker.installed.add(token)
             with self._lock:
-                self._counters["installs_shipped"] += 1
+                self._counters[
+                    "installs_derived" if message[0] == "derive" else "installs_shipped"
+                ] += 1
 
     # -- dispatch ------------------------------------------------------------
 

@@ -134,7 +134,7 @@ def parallel_publish_bytes(
                         ),
                     )
                 )
-        except (PoolBroken, WorkerCrashed):
+        except (NotShippable, PoolBroken, WorkerCrashed):
             return serial()
         for batch, future in futures:
             try:

@@ -8,6 +8,7 @@ query composition and the various proof constructions free of aliasing bugs.
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.relational.domain import DataValue, sort_tuples
@@ -257,6 +258,11 @@ class Relation:
 class Instance(Mapping[str, Relation]):
     """An immutable database instance of a relational schema."""
 
+    #: ``(weakref to the parent, delta)`` on instances built by
+    #: :meth:`apply_delta`: the lineage the publishing engine migrates its
+    #: per-instance caches along.  Weak, so a version never pins its history.
+    _lineage = None
+
     def __init__(
         self,
         schema: RelationalSchema,
@@ -429,7 +435,8 @@ class Instance(Mapping[str, Relation]):
         inserted``; every untouched :class:`Relation` object is reused by
         identity, so its cached hash indexes stay warm across the version.
         When the delta changes nothing effectively, ``self`` is returned
-        unchanged -- versioning is free for no-op updates.
+        unchanged -- versioning is free for no-op updates.  The result
+        remembers ``self`` (weakly) and ``delta`` as its lineage.
         """
         relations: dict[str, Relation] | None = None
         for name in delta.touched_relations():
@@ -445,7 +452,16 @@ class Instance(Mapping[str, Relation]):
                 relations[name] = replaced
         if relations is None:
             return self
-        return self._rebuilt(self._schema, relations, self._encoding)
+        child = self._rebuilt(self._schema, relations, self._encoding)
+        child._lineage = (weakref.ref(self), delta)
+        return child
+
+    def __getstate__(self):
+        """Pickle without the lineage: a weak reference cannot cross a
+        process boundary, and the parent is not shipped with the child."""
+        state = self.__dict__.copy()
+        state.pop("_lineage", None)
+        return state
 
     def diff(self, other: "Instance"):
         """The normalized :class:`~repro.relational.delta.Delta` from ``self`` to ``other``.

@@ -6,8 +6,9 @@ snapshot chains advanced by :class:`~repro.relational.delta.Delta` commits),
 and exposes exactly three verbs:
 
 * :meth:`~repro.serve.server.ViewServer.publish` -- evaluate a view, with
-  ``output=tree|events|bytes|compact``, ``backend=auto|row|columnar`` and
-  ``maintenance=auto|full|incremental`` routed in one call;
+  ``output=tree|events|bytes|compact`` and ``backend=auto|row|columnar``
+  routed in one call (a committed version's publish is incremental by
+  itself);
 * :meth:`~repro.serve.server.ViewServer.subscribe` -- one
   :class:`~repro.xmltree.diff.EditScript` per source commit, maintained
   incrementally;
@@ -22,23 +23,10 @@ and exposes exactly three verbs:
     ...                                                         # doctest: +SKIP
     >>> handle = server.attach(instance)                        # doctest: +SKIP
     >>> xml = server.publish("hierarchy", output="bytes")       # doctest: +SKIP
-
-The legacy entry points (``publish_many`` / ``publish_iter`` /
-``publish_xml`` on :class:`~repro.engine.plan.PublishingPlan`, and
-:class:`~repro.incremental.IncrementalPublisher`) delegate here and are kept
-as deprecated shims.
 """
 
-from repro.serve.oneshot import (
-    compact_tree,
-    publish_document,
-    publish_stream,
-    serialize_events,
-    serialize_tree,
-)
 from repro.serve.server import (
     BACKENDS,
-    MAINTENANCE,
     OUTPUTS,
     TYPECHECK_MODES,
     PruneResult,
@@ -64,7 +52,6 @@ from repro.serve.stats import (
 
 __all__ = [
     "BACKENDS",
-    "MAINTENANCE",
     "OUTPUTS",
     "ClusterStats",
     "ExplainReport",
@@ -83,10 +70,5 @@ __all__ = [
     "ViewRejected",
     "ViewServer",
     "ViewStats",
-    "compact_tree",
     "merge_cluster_stats",
-    "publish_document",
-    "publish_stream",
-    "serialize_events",
-    "serialize_tree",
 ]

@@ -504,7 +504,6 @@ class NetServer:
                 400, f"output must be one of {_PUBLISH_OUTPUTS} over HTTP"
             )
         backend = request.query.get("backend", "auto")
-        maintenance = request.query.get("maintenance", "auto")
         indent_text = request.query.get("indent", "2")
         indent = None if indent_text in ("none", "") else _int_query(indent_text, "indent")
         params = self._view_params(request)
@@ -536,7 +535,6 @@ class NetServer:
             params=params,
             output=output,
             backend=backend,
-            maintenance=maintenance,
             indent=indent,
         )
         self.counters["publishes"] += 1

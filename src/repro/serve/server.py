@@ -2,14 +2,10 @@
 
 The paper's transducers are *views*: a relational source publishes an XML
 tree, and every question the paper asks (membership, emptiness, equivalence)
-is a question about named, long-lived views.  After PRs 1-4 the repo exposed
-that idea through four divergent entry-point families -- the
-``publish``/``publish_many``/``publish_events``/``publish_xml`` method zoo,
-``PublishingPlan.republish``, ``IncrementalPublisher`` and the per-language
-front-ends -- with mode flags scattered across constructors.  This module
-replaces them with a persistent serving surface, in the spirit of streaming
-tree transducers (a machine consuming source updates and emitting output
-streams, not a one-shot function call):
+is a question about named, long-lived views.  This module is the persistent
+serving surface over them, in the spirit of streaming tree transducers (a
+machine consuming source updates and emitting output streams, not a one-shot
+function call):
 
 * :meth:`ViewServer.register_view` accepts any front-end -- a
   :class:`~repro.core.transducer.PublishingTransducer`, a
@@ -25,9 +21,11 @@ streams, not a one-shot function call):
   columnar encodings) while older versions stay readable, so concurrent
   readers always see a consistent snapshot;
 * :meth:`ViewServer.publish` is the single evaluation call, routing
-  ``output=tree|events|bytes|compact``, ``backend=auto|row|columnar`` and
-  ``maintenance=auto|full|incremental`` onto the engine's core drivers
-  (``publish`` / ``publish_events`` / ``republish`` / encoded execution);
+  ``output=tree|events|bytes|compact`` and ``backend=auto|row|columnar``
+  onto the engine's core drivers (``publish`` / ``publish_events`` /
+  ``publish_bytes``, row or encoded execution).  There is no maintenance
+  mode to pick: a committed version's first publish migrates the parent
+  version's cached state inside the engine;
 * :meth:`ViewServer.subscribe` yields one
   :class:`~repro.xmltree.diff.EditScript` per commit, maintained
   incrementally instead of re-published and diffed;
@@ -35,9 +33,8 @@ streams, not a one-shot function call):
   parameters substituted as query constants, which the shared planner pushes
   into its indexed scans (prepared-statement style).
 
-Every output mode is byte-identical to the legacy paths: ``output="bytes"``
-matches ``publish_xml``, ``output="tree"`` matches ``publish``, maintained
-trees always equal a from-scratch publish of the same version.
+Every output form and backend is byte-identical to a from-scratch publish
+of the same version on a fresh plan, and so is every subscription's tree.
 """
 
 from __future__ import annotations
@@ -56,9 +53,7 @@ from repro.relational.delta import Delta
 from repro.relational.domain import DataValue
 from repro.relational.instance import Instance
 from repro.relational.schema import RelationalSchema
-from repro.serve.oneshot import compact_tree, serialize_tree
 from repro.xmltree.diff import EditScript, diff_trees
-from repro.xmltree.events import tree_to_events
 from repro.xmltree.tree import TreeNode
 
 #: Recognised values of the ``output=`` routing axis ("xml" aliases "bytes").
@@ -69,9 +64,6 @@ _OUTPUTS_WITH_ALIAS = OUTPUTS + ("xml",)
 
 #: Recognised values of the ``backend=`` routing axis.
 BACKENDS = ("auto", "row", "columnar")
-
-#: Recognised values of the ``maintenance=`` routing axis.
-MAINTENANCE = ("auto", "full", "incremental")
 
 #: Recognised values of the ``typecheck=`` registration axis.
 TYPECHECK_MODES = ("static", "runtime", "off")
@@ -285,9 +277,9 @@ class SourceHandle:
         Pruning bounds it for long-running delta streams that do not need
         time travel.  Contract: handed-out :class:`SourceVersion` objects
         keep reading their own snapshot; :meth:`snapshot` of a pruned
-        number raises; a maintained chain or subscription lagging behind
-        the pruned range transparently reseeds itself with one full publish
-        (its subscribers receive the corresponding edit script).
+        number raises; a subscription lagging behind the pruned range
+        transparently reseeds itself with one full publish (its subscribers
+        receive the corresponding edit script).
         """
         with self._lock:
             keep = max(1, keep_last)
@@ -660,26 +652,6 @@ class RegisteredView:
             raise
         self._mark_validated(plan, instance, budget)
 
-    def _ensure_validated_tree(
-        self, plan: PublishingPlan, tree: TreeNode, instance: Instance, budget
-    ) -> None:
-        """:meth:`_ensure_validated` for a maintained tree (no re-publish).
-
-        The maintained tree is byte-identical to a from-scratch publish of
-        its version (the serving stack's core invariant), so validating its
-        event replay validates the published document.
-        """
-        if self._is_validated(plan, instance, budget):
-            return
-        from repro.typecheck import OutputValidationError, validate_tree
-
-        try:
-            validate_tree(tree, self._output_dtd, view=self._name)
-        except OutputValidationError:
-            self.violations += 1
-            raise
-        self._mark_validated(plan, instance, budget)
-
     def _validated_events(self, plan: PublishingPlan, instance: Instance, budget):
         """A validating pass-through for ``output="events"`` publishes.
 
@@ -723,20 +695,19 @@ class RegisteredView:
 class _MaintainedView:
     """A view's (instance, tree) chain maintained along a handle's versions.
 
-    The incremental unit shared by ``maintenance="incremental"`` publishes
-    and by subscriptions: one :meth:`PublishingPlan.republish` per committed
-    delta, with the per-rule memo invalidation and subtree reuse of the
-    engine.  The maintained tree always equals -- tree- and byte-wise -- a
-    from-scratch publish of the same version.  :meth:`advance` is serialized
-    by a per-chain lock, so concurrent commits (or publishes racing a
-    commit) cannot replay the same delta twice.
+    The unit behind subscriptions: one :meth:`PublishingPlan.republish` per
+    committed delta, with the per-rule memo invalidation and subtree reuse
+    of the engine.  The maintained tree always equals -- tree- and
+    byte-wise -- a from-scratch publish of the same version.
+    :meth:`advance` is serialized by a per-chain lock, so concurrent commits
+    cannot replay the same delta twice.
 
     One chain is shared per (view, binding, source, backend, budget) key:
     every subscription on the key attaches as a subscriber and receives each
     replayed step from inside the critical section, so a commit costs one
     republish regardless of subscriber count, delivered exactly once and in
-    version order no matter who (commit delivery or a racing publish)
-    advances the chain first.
+    version order.  The server's registry holds a chain only while it has
+    subscribers.
     """
 
     __slots__ = (
@@ -769,10 +740,6 @@ class _MaintainedView:
         self.subscribers: list[Subscription] = []
         self._lock = threading.Lock()
 
-    def add_subscriber(self, subscription: "Subscription") -> None:
-        with self._lock:
-            self.subscribers.append(subscription)
-
     def remove_subscriber(self, subscription: "Subscription") -> None:
         with self._lock:
             try:
@@ -780,20 +747,15 @@ class _MaintainedView:
             except ValueError:  # pragma: no cover - already detached
                 pass
 
-    def advance(self, target: SourceVersion) -> TreeNode | None:
-        """Republish up to ``target`` and return the tree at that version.
+    def advance(self, target: SourceVersion) -> None:
+        """Republish up to ``target`` (a no-op when already there or past).
 
-        Returns ``None`` when the chain has already moved *past* the
-        requested version (a concurrent publish of a newer snapshot) -- the
-        caller must then serve the pinned version with a full publish, never
-        with this chain's newer tree.  When an intermediate delta has been
-        :meth:`SourceHandle.prune`-d away, the chain reseeds itself with one
-        full publish of ``target`` and delivers the corresponding document
-        diff instead of per-delta scripts.
+        When an intermediate delta has been :meth:`SourceHandle.prune`-d
+        away, the chain reseeds itself with one full publish of ``target``
+        and delivers the corresponding document diff instead of per-delta
+        scripts.
         """
         with self._lock:
-            if self.version > target.index:
-                return None
             while self.version < target.index:
                 try:
                     step = self.handle.snapshot(self.version + 1)
@@ -822,7 +784,6 @@ class _MaintainedView:
                 self.tree = result.tree
                 self.version = step.index
                 self._fan_out(result)
-            return self.tree
 
     def _fan_out(self, result: RepublishResult) -> None:
         for subscription in self.subscribers:
@@ -953,11 +914,19 @@ class Subscription:
 
         Detaches from the shared chain's fan-out list, the handle's delivery
         list and the server's registry, so :meth:`ViewServer.stats` counts
-        live subscribers only.
+        live subscribers only.  The last subscriber to close drops the
+        chain itself.
         """
         if not self._closed:
             self._closed = True
-            self._maintained.remove_subscriber(self)
+            chain, chains = self._maintained, self._server._maintained
+            chain.remove_subscriber(self)
+            # Subscribers attach under both locks, so an empty list seen
+            # under the server lock stays empty until the entry is gone.
+            with self._server._lock:
+                if not chain.subscribers:
+                    for key in [k for k, held in chains.items() if held is chain]:
+                        del chains[key]
             for registry in (self._handle._subscriptions, self._server._subscriptions):
                 try:
                     registry.remove(self)
@@ -1003,17 +972,16 @@ class ViewServer:
         print(sub.pop().edits.describe())
 
     ``register_view`` accepts every front-end of the code base;
-    ``publish`` routes output format, execution backend and maintenance
-    strategy in one call; ``stats()`` / ``explain()`` aggregate the
-    observability counters that previously had to be collected from the
-    plan, the relations and the query plans separately.
+    ``publish`` routes output format and execution backend in one call;
+    ``stats()`` / ``explain()`` aggregate the observability counters that
+    previously had to be collected from the plan, the relations and the
+    query plans separately.
     """
 
     def __init__(
         self,
         max_nodes: int = DEFAULT_MAX_NODES,
         cache_instances: int = 8,
-        maintained_views: int = 32,
         pool=None,
     ) -> None:
         self._engine = Engine(max_nodes=max_nodes, cache_instances=cache_instances)
@@ -1024,12 +992,11 @@ class ViewServer:
         # pool is owned by the caller (one pool may serve many servers and
         # the network tier at once); None keeps every path serial.
         self._pool = pool
-        self._max_maintained = max(1, maintained_views)
         self._views: dict[str, RegisteredView] = {}
         self._handles: dict[str, SourceHandle] = {}
         self._plan_cache: dict[tuple[int, int | None], PublishingPlan] = {}
-        # Maintained (view, binding, source, backend, budget) chains in LRU
-        # order; subscriptions hold their own chains outside this cap.
+        # The subscribed (view, binding, source, backend, budget) chains;
+        # a chain leaves with its last subscriber.
         self._maintained: dict[tuple, _MaintainedView] = {}
         # Encoded twins of raw (unattached) instances published with
         # backend="columnar", so repeated one-shot publishes do not re-intern
@@ -1190,7 +1157,6 @@ class ViewServer:
         params: Mapping[str, DataValue] | None = None,
         output: str = "tree",
         backend: str = "auto",
-        maintenance: str = "auto",
         indent: int | None = 2,
         write=None,
         max_nodes: int | None = None,
@@ -1203,107 +1169,28 @@ class ViewServer:
         or ``None`` when exactly one source is attached.  ``output`` selects
         the result form: the materialised Σ-tree (``"tree"``), a lazy
         SAX-style event stream (``"events"``), the serialised document
-        (``"bytes"``, byte-identical to the legacy ``publish_xml``; honours
-        ``indent`` / ``write``) or the single-line form (``"compact"``).
-        ``backend`` pins execution to the row or columnar kernel (``"auto"``
-        follows the source's encoding).  ``maintenance`` chooses between a
-        from-scratch publish (``"full"``), delta-driven republish along the
-        handle's version chain (``"incremental"``) or picking whichever is
-        available (``"auto"``); every combination returns byte-identical
-        output.
+        (``"bytes"``; honours ``indent`` / ``write``) or the single-line
+        form (``"compact"``).  ``backend`` pins execution to the row or
+        columnar kernel (``"auto"`` follows the source's encoding).  A
+        version's first publish migrates its parent version's cached state
+        when the plan still holds it, so publishing after a commit is
+        incremental on every output form; all of them are byte-identical to
+        a from-scratch publish.
         """
         registered = view if isinstance(view, RegisteredView) else self.view(view)
         _checked(output, _OUTPUTS_WITH_ALIAS, "output")
         _checked(backend, BACKENDS, "backend")
-        _checked(maintenance, MAINTENANCE, "maintenance")
         binding = registered.binding_key(params)
         plan = registered.plan_for_key(binding)
-        handle, snapshot = self._resolve_source(source, version)
+        instance = self._resolve_instance(source, version, backend)
         budget = max_nodes if max_nodes is not None else registered._max_nodes
         # The runtime-validation gate: None for unchecked or statically
         # proved bindings (zero per-publish cost), the view itself when the
         # rendered document must stream through the DTD validator first.
         guard = registered if registered._runtime_validation(binding) else None
-
-        if handle is None:
-            if maintenance == "incremental":
-                raise ServeError(
-                    "maintenance='incremental' needs an attached source "
-                    "(a SourceHandle or SourceVersion), not a raw instance"
-                )
-            instance = self._route_raw(snapshot, backend)
-            registered.publishes += 1
-            registered.last_backend = (
-                "columnar" if instance.is_encoded else "row"
-            )
-            return self._render_full(
-                plan, instance, output, indent, write, budget, validate=guard
-            )
-
         registered.publishes += 1
-        if backend == "auto":
-            registered.last_backend = (
-                "columnar" if snapshot.instance.is_encoded else "row"
-            )
-        else:
-            registered.last_backend = backend
-
-        if maintenance == "full":
-            instance = handle._instance_for(snapshot, backend)
-            return self._render_full(
-                plan, instance, output, indent, write, budget, validate=guard
-            )
-        # Keyed by the handle object (identity), not its name: names are
-        # only unique within one server, and a chain must never be shared
-        # across handles.  Handles are retained by the server, so the key
-        # stays valid.
-        key = (registered.name, binding, handle, backend, budget)
-        maintained = self._maintained_chain(key)
-        if maintained is None:
-            if maintenance == "auto" and output != "tree":
-                # Keep the streaming forms lazy: events/bytes/compact under
-                # "auto" serve straight from the lazy engine drivers (no
-                # whole tree materialised, no chain pinned) unless a chain
-                # already exists.  Tree requests and explicit
-                # maintenance="incremental" seed the chain.
-                instance = handle._instance_for(snapshot, backend)
-                return self._render_full(
-                    plan, instance, output, indent, write, budget, validate=guard
-                )
-            # Seed the maintained chain so subsequent publishes of this key
-            # go incremental.  Built outside the server lock (it runs a
-            # full publish); a concurrent seeder may win the install.
-            maintained = self._install_maintained(
-                key, _MaintainedView(plan, handle, snapshot, backend, budget)
-            )
-        tree = maintained.advance(snapshot)
-        if tree is None:
-            # The chain has moved past the requested snapshot: a pinned
-            # reader must never see the newer tree, and must not rewind the
-            # chain -- serve a from-scratch publish of that version.
-            instance = handle._instance_for(snapshot, backend)
-            return self._render_full(
-                plan, instance, output, indent, write, budget, validate=guard
-            )
-        if output in ("bytes", "xml", "compact"):
-            # Serialised forms of a maintained chain render through the
-            # bytes-native driver rather than re-walking the maintained
-            # tree: the republish that advanced the chain migrated the
-            # rendered-span cache, so only invalidated spans re-render and
-            # an unchanged document is a buffer handoff.  The instance is
-            # the chain's own snapshot object (``_instance_for`` is cached
-            # per version), so the plan's per-instance caches are shared.
-            instance = handle._instance_for(snapshot, backend)
-            return self._render_full(
-                plan, instance, output, indent, write, budget, validate=guard
-            )
-        if guard is not None:
-            # Maintained tree: validate its event replay (byte-identical to
-            # a from-scratch publish of the version) instead of re-running
-            # the engine; memoised under the version's snapshot instance.
-            instance = handle._instance_for(snapshot, backend)
-            guard._ensure_validated_tree(plan, tree, instance, budget)
-        return self._render_tree(tree, output, indent, write)
+        registered.last_backend = "columnar" if instance.is_encoded else "row"
+        return self._render(plan, instance, output, indent, write, budget, guard)
 
     @property
     def pool(self):
@@ -1315,9 +1202,9 @@ class ViewServer:
 
         ``requests`` is an iterable of keyword-argument mappings for
         :meth:`publish` (``view`` plus any of ``source``, ``version``,
-        ``params``, ``output``, ``backend``, ``maintenance``, ``indent``,
-        ``max_nodes``).  Results come back in request order and are
-        byte-identical to calling :meth:`publish` serially.
+        ``params``, ``output``, ``backend``, ``indent``, ``max_nodes``).
+        Results come back in request order and are byte-identical to
+        calling :meth:`publish` serially.
 
         With a worker pool (``pool=`` here or ``ViewServer(pool=...)``),
         serialised outputs (``bytes`` / ``xml`` / ``compact``) of different
@@ -1367,29 +1254,26 @@ class ViewServer:
 
         view = request["view"]
         registered = view if isinstance(view, RegisteredView) else self.view(view)
-        _checked(request.get("backend", "auto"), BACKENDS, "backend")
-        _checked(request.get("maintenance", "auto"), MAINTENANCE, "maintenance")
+        backend = _checked(request.get("backend", "auto"), BACKENDS, "backend")
         binding = registered.binding_key(request.get("params"))
         plan = registered.plan_for_key(binding)
-        handle, snapshot = self._resolve_source(
-            request.get("source"), request.get("version")
+        instance = self._resolve_instance(
+            request.get("source"), request.get("version"), backend
         )
-        backend = request.get("backend", "auto")
         budget = request.get("max_nodes")
         if budget is None:
             budget = registered._max_nodes
-        if handle is None:
-            if request.get("maintenance") == "incremental":
-                return False  # let publish() raise the canonical error
-            instance = self._route_raw(snapshot, backend)
-        else:
-            instance = handle._instance_for(snapshot, backend)
         if registered._runtime_validation(binding) and not registered._is_validated(
             plan, instance, budget
         ):
             # Not-yet-validated documents stay in-process: the serial path
             # validates (and memoises), after which this version ships to
             # the pool freely.
+            return False
+        if plan.holds_parent_state(instance):
+            # The parent version's state is cached here, so the serial
+            # publish migrates it; a worker would render from its own
+            # caches, which may not hold that parent.
             return False
         indent = None if output == "compact" else request.get("indent", 2)
         try:
@@ -1407,11 +1291,7 @@ class ViewServer:
         except (NotShippable, PoolBroken, WorkerCrashed):
             return False
         registered.publishes += 1
-        registered.last_backend = (
-            ("columnar" if instance.is_encoded else "row")
-            if backend == "auto"
-            else backend
-        )
+        registered.last_backend = "columnar" if instance.is_encoded else "row"
         pending.append((index, future, request))
         return True
 
@@ -1447,20 +1327,34 @@ class ViewServer:
         binding = registered.binding_key(params)
         plan = registered.plan_for_key(binding)
         budget = max_nodes if max_nodes is not None else registered._max_nodes
+        # Keyed by the handle object (identity), not its name: names are
+        # only unique within one server, and a chain must never be shared
+        # across handles.
         key = (registered.name, binding, handle, backend, budget)
-        maintained = self._maintained_chain(key)
+        with self._lock:
+            maintained = self._maintained.get(key)
         if maintained is None:
-            maintained = self._install_maintained(
-                key, _MaintainedView(plan, handle, handle.latest, backend, budget)
-            )
-        # Catch the shared chain up before attaching, so the subscriber's
-        # base tree is the current version and no pre-subscribe commit is
-        # ever delivered as an event.
-        maintained.advance(handle.latest)
-        subscription = Subscription(
-            self, registered, handle, maintained, max_pending=max_pending
-        )
-        maintained.add_subscriber(subscription)
+            # Seeded outside the server lock (it runs a full publish); a
+            # concurrent subscriber may win the install.
+            maintained = _MaintainedView(plan, handle, handle.latest, backend, budget)
+        subscription = None
+        while subscription is None:
+            # Catch the chain up before attaching, so the subscriber's base
+            # tree is the current version and no pre-subscribe commit is
+            # ever delivered as an event.
+            maintained.advance(handle.latest)
+            # Lock order is chain, then server (close never holds the
+            # server lock while waiting for a chain).  Attach only to the
+            # key's registered chain: a racing last close may have dropped
+            # ours, and a racing subscriber may have registered another.
+            with maintained._lock, self._lock:
+                winner = self._maintained.setdefault(key, maintained)
+                if winner is maintained:
+                    subscription = Subscription(
+                        self, registered, handle, maintained, max_pending=max_pending
+                    )
+                    maintained.subscribers.append(subscription)
+            maintained = winner
         handle._subscriptions.append(subscription)
         self._subscriptions.append(subscription)
         return subscription
@@ -1550,36 +1444,6 @@ class ViewServer:
                 raise ServeError("; ".join(problems))
         return plan
 
-    def _maintained_chain(self, key: tuple) -> _MaintainedView | None:
-        """The maintained chain for ``key``, touched for LRU recency."""
-        with self._lock:
-            chain = self._maintained.get(key)
-            if chain is not None:
-                del self._maintained[key]
-                self._maintained[key] = chain
-            return chain
-
-    def _install_maintained(self, key: tuple, chain: _MaintainedView) -> _MaintainedView:
-        """Install a freshly seeded chain (or adopt a concurrent winner).
-
-        At most ``maintained_views`` chains are kept, evicted
-        least-recently-used -- the serving-layer mirror of the engine's
-        ``cache_instances`` bound, so long-running servers with many
-        distinct (view, binding, source, backend) shapes stay bounded in
-        memory.  Subscriptions own their chains and are not subject to the
-        cap.
-        """
-        with self._lock:
-            winner = self._maintained.get(key)
-            if winner is not None:
-                del self._maintained[key]
-                self._maintained[key] = winner
-                return winner
-            self._maintained[key] = chain
-            while len(self._maintained) > self._max_maintained:
-                del self._maintained[next(iter(self._maintained))]
-            return chain
-
     def _sole_handle(self) -> SourceHandle:
         if len(self._handles) == 1:
             return next(iter(self._handles.values()))
@@ -1593,11 +1457,19 @@ class ViewServer:
                 f"source {handle.name!r} is attached to a different server"
             )
 
-    def _resolve_source(
+    def _resolve_instance(
         self,
         source: "SourceHandle | SourceVersion | Instance | None",
         version: int | None,
-    ) -> "tuple[SourceHandle | None, SourceVersion | Instance]":
+        backend: str,
+    ) -> Instance:
+        """The instance a publish request reads, pinned to ``backend``.
+
+        Attached versions resolve to their (cached) backend twins.  Columnar
+        twins of raw, unversioned instances are cached weakly, keyed by the
+        caller's instance, so repeated one-shot publishes intern the data
+        once; attached handles remain the supported hot path.
+        """
         if source is None:
             source = self._sole_handle()
         if isinstance(source, SourceVersion):
@@ -1607,39 +1479,30 @@ class ViewServer:
                     f"version {source.index}"
                 )
             self._check_ownership(source.handle)
-            return source.handle, source
+            return source.handle._instance_for(source, backend)
         if isinstance(source, SourceHandle):
             self._check_ownership(source)
-            return source, source.snapshot(version)
-        if isinstance(source, Instance):
-            if version is not None:
-                raise ServeError("version= needs an attached source, not an instance")
-            return None, source
-        raise ServeError(
-            f"source must be a SourceHandle, SourceVersion or Instance, "
-            f"not {type(source).__name__}"
-        )
-
-    def _route_raw(self, instance: Instance, backend: str) -> Instance:
-        """Pin a one-shot (unversioned) instance to the requested backend.
-
-        Columnar twins of raw instances are cached (weakly, keyed by the
-        caller's instance) so repeated one-shot publishes intern the data
-        once; attached handles remain the supported hot path.
-        """
+            return source._instance_for(source.snapshot(version), backend)
+        if not isinstance(source, Instance):
+            raise ServeError(
+                f"source must be a SourceHandle, SourceVersion or Instance, "
+                f"not {type(source).__name__}"
+            )
+        if version is not None:
+            raise ServeError("version= needs an attached source, not an instance")
         if backend == "row":
-            return instance.without_encoding()
-        if backend == "columnar" and not instance.is_encoded:
-            twin = self._raw_twins.get(instance)
+            return source.without_encoding()
+        if backend == "columnar" and not source.is_encoded:
+            twin = self._raw_twins.get(source)
             if twin is None:
                 from repro.relational.columnar import encoded_twin
 
-                twin = encoded_twin(instance)
-                self._raw_twins[instance] = twin
+                twin = encoded_twin(source)
+                self._raw_twins[source] = twin
             return twin
-        return instance
+        return source
 
-    def _render_full(
+    def _render(
         self,
         plan: PublishingPlan,
         instance: Instance,
@@ -1649,13 +1512,13 @@ class ViewServer:
         max_nodes: int | None,
         validate: RegisteredView | None = None,
     ):
-        """A from-scratch publish on the fastest driver for the output form.
+        """Publish ``instance`` on the fastest driver for the output form.
 
         The serialised forms run on the bytes-native driver
         (:meth:`~repro.engine.plan.PublishingPlan.publish_bytes`): no tree is
         materialised, character data comes from interned fragments, and
         rendered subtree spans are cached per configuration -- so repeated
-        and incrementally maintained publishes are mostly buffer reuse.
+        publishes and publishes after a commit are mostly buffer reuse.
         ``output="events"`` remains the bounded-memory streaming path.
 
         ``validate`` (a :class:`RegisteredView` with a registered DTD) gates
@@ -1679,18 +1542,6 @@ class ViewServer:
                 instance, indent=indent, write=write, max_nodes=max_nodes
             )
         return plan.publish_bytes(instance, indent=None, max_nodes=max_nodes)
-
-    def _render_tree(
-        self, tree: TreeNode, output: str, indent: int | None, write
-    ):
-        """Render an (incrementally) maintained tree in the requested form."""
-        if output == "tree":
-            return tree
-        if output == "events":
-            return tree_to_events(tree)
-        if output in ("bytes", "xml"):
-            return serialize_tree(tree, indent=indent, write=write)
-        return compact_tree(tree)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

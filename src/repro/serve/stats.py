@@ -1,7 +1,7 @@
 """Unified observability for the serving layer.
 
 Before the server existed, understanding a running view meant touring three
-objects: ``PublishingPlan.cache_stats`` (expansion memo and republish
+objects: ``PublishingPlan.cache_stats`` (expansion memo and migration
 invalidation counters), per-relation ``index_stats()`` (hash-index cache
 behaviour, row and columnar), and per-rule ``QueryPlan`` introspection
 (``last_backend``, ``delta_strategy()``, join order).  This module folds that
@@ -11,7 +11,7 @@ tour into two value objects:
   registered view, attached source and subscription of a
   :class:`~repro.serve.server.ViewServer`;
 * :func:`explain_view` -> :class:`ExplainReport` -- the per-rule story of one
-  view binding, including the republish strategy line.
+  view binding, including the migration strategy line.
 
 Both are plain frozen dataclasses with ``as_dict()`` (for JSON benchmarks)
 and ``describe()`` (for humans).
@@ -95,7 +95,7 @@ class ServerStats:
     sources: tuple[SourceStats, ...]
     subscriptions: int
     deliveries: int
-    maintained_views: int
+    maintained_chains: int
     #: ``WorkerPool.stats()`` of the attached pool (worker count, per-worker
     #: task tallies, merged worker-side cache counters, span merges), or
     #: ``None`` when the server runs serial.
@@ -111,7 +111,7 @@ class ServerStats:
             f"ViewServer: {len(self.views)} view(s), {len(self.sources)} "
             f"source(s), {self.subscriptions} subscription(s) "
             f"({self.deliveries} deliveries), "
-            f"{self.maintained_views} maintained chain(s)"
+            f"{self.maintained_chains} maintained chain(s)"
         ]
         if self.pool is not None:
             worker_cache = self.pool.get("worker_cache", {})
@@ -131,7 +131,7 @@ class ServerStats:
                 f"backend={view.last_backend or 'none yet'}, "
                 f"memo hit rate {cache.get('hit_rate', 0.0):.1%} "
                 f"({cache.get('invalidated', 0)} invalidated / "
-                f"{cache.get('retained', 0)} retained across republishes, "
+                f"{cache.get('retained', 0)} retained across versions, "
                 f"rendered spans {cache.get('rendered_hits', 0)} reused / "
                 f"{cache.get('rendered_misses', 0)} rendered)"
             )
@@ -221,7 +221,7 @@ def collect_stats(server: "ViewServer") -> ServerStats:
         sources=tuple(sources),
         subscriptions=len(server.subscriptions),
         deliveries=server._deliveries,
-        maintained_views=len(server._maintained),
+        maintained_chains=len(server._maintained),
         pool=pool.stats() if pool is not None else None,
     )
 
@@ -459,7 +459,7 @@ def explain_view(
         )
     cache = plan.cache_stats.as_dict()
     maintenance = (
-        f"republish: {cache.get('invalidated', 0)} invalidated / "
+        f"migration: {cache.get('invalidated', 0)} invalidated / "
         f"{cache.get('retained', 0)} retained; rules: {semi_naive} semi-naive, "
         f"{recompute} recompute-fallback, {unplanned} unplanned"
     )

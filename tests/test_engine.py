@@ -40,7 +40,7 @@ from repro.workloads.registrar import (
     tau3_courses_without_db_prereq,
 )
 from repro.xmltree.events import events_to_tree
-from repro.xmltree.serialize import to_compact_xml, to_xml
+from repro.xmltree.serialize import IncrementalXmlSerializer, to_compact_xml, to_xml
 from repro.xmltree.tree import TEXT_TAG
 
 
@@ -197,8 +197,12 @@ class TestPlanMatchesInterpreter:
     def test_streamed_serialisation_is_byte_identical(self, name, tau, instance):
         plan = compile_plan(tau, max_nodes=10**6)
         materialised = plan.publish(instance)
-        assert plan.publish_xml(instance) == to_xml(materialised)
-        assert plan.publish_xml(instance, indent=None) == to_compact_xml(materialised)
+        for indent, expected in ((2, to_xml(materialised)), (None, to_compact_xml(materialised))):
+            streamed = IncrementalXmlSerializer(indent=indent).feed_all(
+                plan.publish_events(instance)
+            )
+            assert streamed.finish() == expected
+            assert plan.publish_bytes(instance, indent=indent) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +211,10 @@ class TestPlanMatchesInterpreter:
 
 
 class TestBatchAndCache:
-    def test_publish_many_matches_individual_publishes(self, tau1):
+    def test_batch_on_one_plan_matches_individual_publishes(self, tau1):
         instances = [generate_registrar_instance(15, seed=s) for s in range(5)]
         plan = Engine().compile(tau1, REGISTRAR_SCHEMA)
-        batched = plan.publish_many(instances)
+        batched = [plan.publish(instance) for instance in instances]
         assert batched == [publish(tau1, instance) for instance in instances]
 
     def test_repeated_instances_hit_the_cross_run_cache(self, tau1, registrar_instance):
@@ -346,5 +350,5 @@ class TestDeepTrees:
         full = plan.publish_full(instance)
         assert full.extended_root.depth() == depth + 2
         assert full.extended_root.size() == depth + 2
-        compact = plan.publish_xml(instance, indent=None)
+        compact = plan.publish_bytes(instance, indent=None)
         assert compact.count("<a>") == depth  # innermost renders as <a/>

@@ -60,8 +60,12 @@ def _assert_stream_matches_materialised(tau, instance=INSTANCE):
     materialised = plan.publish(instance)
     assert materialised == reference
     assert events_to_tree(plan.publish_events(instance)) == reference
-    assert plan.publish_xml(instance) == to_xml(reference)
-    assert plan.publish_xml(instance, indent=None) == to_compact_xml(reference)
+    for indent, expected in ((2, to_xml(reference)), (None, to_compact_xml(reference))):
+        streamed = IncrementalXmlSerializer(indent=indent).feed_all(
+            plan.publish_events(instance)
+        )
+        assert streamed.finish() == expected
+        assert plan.publish_bytes(instance, indent=indent) == expected
     return materialised
 
 

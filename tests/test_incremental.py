@@ -2,19 +2,24 @@
 
 Every layer of the pipeline is differential-tested: deltas against explicit
 set algebra, ``execute_delta`` against plain recomputation, ``republish``
-against a from-scratch publish (tree- and byte-wise) -- including random
-update sequences with deletions that empty a relation, and blow-up
-workloads.
+and lineage-migrated publishes against a from-scratch publish on a fresh
+plan (tree- and byte-wise) -- including random update sequences with
+deletions that empty a relation, and blow-up workloads.
 """
 
 from __future__ import annotations
 
+import gc
+import pickle
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 
 from repro.engine import RepublishResult, compile_plan
-from repro.incremental import Delta, EditScript, IncrementalPublisher, diff_trees
+from repro.incremental import Delta, EditScript, diff_trees
 from repro.logic.cq import (
     ConjunctiveQuery,
     RelationAtom,
@@ -38,7 +43,7 @@ from repro.workloads.registrar import (
     tau3_courses_without_db_prereq,
 )
 from repro.xmltree.diff import DeleteSubtree, InsertSubtree, ReplaceSubtree
-from repro.xmltree.serialize import to_xml
+from repro.xmltree.serialize import IncrementalXmlSerializer, to_compact_xml, to_xml
 from repro.xmltree.tree import text_node, tree
 
 
@@ -408,7 +413,10 @@ def _assert_matches_oracle(tau, result: RepublishResult, prev_tree) -> None:
     oracle_plan = compile_plan(tau, max_nodes=10**6)
     oracle_tree = oracle_plan.publish(result.instance)
     assert result.tree == oracle_tree
-    assert to_xml(result.tree) == oracle_plan.publish_xml(result.instance)
+    streamed = IncrementalXmlSerializer().feed_all(
+        oracle_plan.publish_events(result.instance)
+    )
+    assert to_xml(result.tree) == streamed.finish()
     assert result.edits.apply(prev_tree) == result.tree
 
 
@@ -581,53 +589,255 @@ class TestRepublish:
 
 
 # ---------------------------------------------------------------------------
-# The IncrementalPublisher facade.
+# Subscriptions: the serving-layer form of a maintained view.
 # ---------------------------------------------------------------------------
 
 
-class TestIncrementalPublisher:
-    def test_stream_of_updates_with_verification(self, tau1):
-        publisher = IncrementalPublisher(tau1, example_registrar_instance())
-        publisher.insert("course", ("cs500", "Compilers", "CS"))
-        publisher.insert("prereq", ("cs500", "cs340"), ("cs500", "cs450"))
-        step = publisher.delete("prereq", ("cs240", "cs101"))
-        assert step.instance is publisher.instance
-        assert publisher.updates == 3
-        publisher.verify()
-        assert publisher.xml() == to_xml(publisher.tree)
-        assert publisher.xml(indent=None).startswith("<db>")
+def _assert_subscription_matches_fresh_plan(tau, subscription, handle) -> None:
+    oracle_plan = compile_plan(tau, max_nodes=10**6)
+    assert subscription.tree == oracle_plan.publish(handle.instance)
+    assert to_xml(subscription.tree) == oracle_plan.publish_bytes(handle.instance)
+    assert to_compact_xml(subscription.tree) == oracle_plan.publish_bytes(
+        handle.instance, indent=None
+    )
+
+
+class TestSubscribedView:
+    def test_stream_of_updates_matches_fresh_plan(self, tau1):
+        from repro.serve import ViewServer
+
+        server = ViewServer()
+        server.register_view("view", tau1)
+        handle = server.attach(example_registrar_instance())
+        subscription = server.subscribe("view")
+        handle.commit(Delta.insert("course", ("cs500", "Compilers", "CS")))
+        handle.commit(Delta.insert("prereq", ("cs500", "cs340"), ("cs500", "cs450")))
+        handle.commit(Delta.delete("prereq", ("cs240", "cs101")))
+        events = subscription.drain()
+        assert [event.version for event in events] == [1, 2, 3]
+        assert events[-1].tree is subscription.tree
+        _assert_subscription_matches_fresh_plan(tau1, subscription, handle)
 
     def test_accepts_precompiled_plan(self, tau1, registrar_instance):
+        from repro.serve import ViewServer
+
         plan = compile_plan(tau1)
-        publisher = IncrementalPublisher(plan, registrar_instance)
-        assert publisher.plan is plan
-        publisher.apply(Delta.delete("prereq", *registrar_instance["prereq"].tuples))
-        publisher.verify()
+        server = ViewServer()
+        view = server.register_view("view", plan)
+        assert view.plan_for(None) is plan
+        handle = server.attach(registrar_instance)
+        subscription = server.subscribe(view)
+        handle.commit(Delta.delete("prereq", *registrar_instance["prereq"].tuples))
+        _assert_subscription_matches_fresh_plan(tau1, subscription, handle)
 
 
 # ---------------------------------------------------------------------------
-# publish_many / publish_iter laziness.
+# Lineage: a child version's publish migrates its parent's cached state.
 # ---------------------------------------------------------------------------
 
 
-class TestLazyBatches:
-    def test_publish_iter_pulls_instances_on_demand(self, tau1):
-        pulled = []
+def _new_prereq(instance: Instance) -> Delta:
+    """One effective ``prereq`` edge between existing generated courses."""
+    names = sorted(row[0] for row in instance["course"])
+    present = instance["prereq"].tuples
+    edge = next(
+        (later, earlier)
+        for later in reversed(names)
+        for earlier in names
+        if earlier < later and (later, earlier) not in present
+    )
+    return Delta.insert("prereq", edge)
 
-        def instances():
-            for seed in range(4):
-                pulled.append(seed)
-                yield generate_registrar_instance(6, seed=seed)
 
+class TestLineage:
+    DELTA = Delta.insert("prereq", ("cs450", "cs340"))
+
+    def test_parent_reference_is_weak(self, tau1):
+        parent = example_registrar_instance()
+        child = parent.apply_delta(self.DELTA)
+        ref, delta = child._lineage
+        assert isinstance(ref, weakref.ref) and ref() is parent
+        assert delta is self.DELTA
+        assert parent.apply_delta(Delta())._lineage is None  # no-op: self
+        del parent
+        gc.collect()
+        assert ref() is None
+        plan = compile_plan(tau1)  # parent gone: a cold start, still correct
+        assert plan.publish_bytes(child) == compile_plan(tau1).publish_bytes(child)
+
+    def test_pruned_versions_are_collected(self, tau1):
+        from repro.serve import ViewServer
+
+        server = ViewServer()
+        server.register_view("view", tau1)
+        handle = server.attach(example_registrar_instance())
+        for course in ("cs601", "cs602", "cs603"):
+            handle.commit(Delta.insert("course", (course, "Elective", "CS")))
+        refs = [weakref.ref(version.instance) for version in handle.history()[:-1]]
+        assert handle.prune(keep_last=1) == 3
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
+        assert server.publish("view", output="bytes") == compile_plan(
+            tau1
+        ).publish_bytes(handle.instance)
+
+    def test_pickling_drops_the_lineage(self):
+        parent = example_registrar_instance()
+        child = parent.apply_delta(self.DELTA)
+        copy = pickle.loads(pickle.dumps(child))
+        assert copy == child
+        assert copy._lineage is None
+        assert child._lineage is not None  # the original keeps its parent
+
+    def test_delta_is_normalized_against_the_parent(self, tau1):
+        # A delta full of no-ops: an insertion already present, a deletion
+        # of an absent tuple, and one effective insertion.
+        parent = example_registrar_instance()
+        noisy = Delta(
+            inserted={"prereq": [("cs240", "cs101"), ("cs450", "cs340")]},
+            deleted={"course": [("zz99", "Nothing", "None")]},
+        )
+        child = parent.apply_delta(noisy)
         plan = compile_plan(tau1)
-        stream = plan.publish_iter(instances())
-        assert pulled == []  # nothing consumed before iteration starts
-        first = next(stream)
-        assert pulled == [0] and first.label == "db"
-        rest = list(stream)
-        assert pulled == [0, 1, 2, 3] and len(rest) == 3
+        plan.publish_bytes(parent)
+        before = plan.cache_stats
+        document = plan.publish_bytes(child)
+        after = plan.cache_stats
+        assert after.retained > before.retained  # migrated, not cold
+        assert document == compile_plan(tau1).publish_bytes(child)
+        # "course" is not touched effectively, so no rule reading only
+        # course is invalidated: the invalidation matches the clean delta.
+        clean = compile_plan(tau1)
+        clean.publish_bytes(parent)
+        clean.publish_bytes(parent.apply_delta(self.DELTA))
+        assert after.invalidated - before.invalidated == clean.cache_stats.invalidated
 
-    def test_publish_many_accepts_generators(self, tau1):
+    @pytest.mark.parametrize("encoded", [False, True], ids=["row", "columnar"])
+    @pytest.mark.parametrize("view", ["tau1", "tau2", "tau3"])
+    def test_child_publish_migrates_and_matches_a_fresh_plan(
+        self, view, encoded, request
+    ):
+        from repro.relational.columnar import encoded_twin
+
+        tau = request.getfixturevalue(view)
+        parent = generate_registrar_instance(30, max_prereqs=2, seed=3)
+        if encoded:
+            parent = encoded_twin(parent)
+        child = parent.apply_delta(_new_prereq(parent))
+        plan = compile_plan(tau)
+        plan.publish_bytes(parent)
+        document = plan.publish_bytes(child)
+        assert plan.cache_stats.retained > 0
+        # The oracle: a fresh plan's row-kernel render of the same version.
+        oracle = compile_plan(tau).publish_bytes(child.without_encoding())
+        assert document == oracle
+
+    @pytest.mark.parametrize("encoded", [False, True], ids=["row", "columnar"])
+    def test_long_commit_chain_matches_cold_renders(self, encoded):
+        # Every version migrates its parent's state, so an error in the
+        # per-rule invalidation would compound along the chain; the oracle
+        # renders each version cold on a fresh row-kernel plan.
+        from repro.serve import ViewServer
+
+        views = {
+            "tau1": tau1_prerequisite_hierarchy,
+            "tau3": tau3_courses_without_db_prereq,
+        }
+        server = ViewServer()
+        for name, factory in views.items():
+            server.register_view(name, factory())
+        handle = server.attach(
+            generate_registrar_instance(30, max_prereqs=2, seed=4), encoded=encoded
+        )
+        rng = random.Random(17)
+        for _ in range(30):
+            handle.commit(_random_registrar_delta(rng, handle.instance))
+            row = handle.instance.without_encoding()
+            for name, factory in views.items():
+                for indent in (2, None):
+                    served = server.publish(name, output="bytes", indent=indent)
+                    cold = compile_plan(factory()).publish_bytes(row, indent=indent)
+                    assert served == cold, (handle.latest.index, name, indent)
+        for name in views:
+            assert server.view(name).plan_for(None).cache_stats.retained > 0
+
+    def test_every_driver_of_a_child_version_migrates(self, tau2):
+        parent = generate_registrar_instance(20, max_prereqs=2, seed=8)
+        child = parent.apply_delta(_new_prereq(parent))
+        oracle = compile_plan(tau2)
+        drivers = {
+            "tree": lambda plan: to_xml(plan.publish(child)),
+            "events": lambda plan: IncrementalXmlSerializer()
+            .feed_all(plan.publish_events(child))
+            .finish(),
+            "full": lambda plan: to_xml(plan.publish_full(child).tree),
+            "bytes": lambda plan: plan.publish_bytes(child),
+        }
+        expected = to_xml(oracle.publish(child))
+        for name, driver in drivers.items():
+            plan = compile_plan(tau2)
+            plan.publish(parent)
+            assert driver(plan) == expected, name
+            assert plan.cache_stats.retained > 0, name
+
+    def test_evicted_parent_cold_starts(self, tau1):
+        from repro.engine import Engine
+
+        plan = Engine(cache_instances=1).compile(tau1)
+        parent = example_registrar_instance()
+        plan.publish_bytes(parent)
+        plan.publish_bytes(generate_registrar_instance(8, seed=1))  # evicts parent
+        child = parent.apply_delta(self.DELTA)
+        assert plan.publish_bytes(child) == compile_plan(tau1).publish_bytes(child)
+        assert plan.cache_stats.retained == 0
+
+    def test_concurrent_parent_and_child_publishes_agree(self, tau1):
+        parent = generate_registrar_instance(60, max_prereqs=2, seed=5)
+        child = parent.apply_delta(_new_prereq(parent))
+        oracle = compile_plan(tau1)
+        expected = {
+            (name, indent): oracle.publish_bytes(instance, indent=indent)
+            for name, instance in (("parent", parent), ("child", child))
+            for indent in (2, None)
+        }
+        # A tiny switch interval interleaves the parent's lock-free memo
+        # writes with the child's migration of the parent's state.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(40):
+                self._race(tau1, parent, child, expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _race(tau1, parent, child, expected) -> None:
         plan = compile_plan(tau1)
-        instances = [generate_registrar_instance(6, seed=s) for s in range(3)]
-        assert plan.publish_many(iter(instances)) == plan.publish_many(instances)
+        plan.publish_bytes(parent)  # the parent's state is warm, but partly
+        calls = {
+            # Tree mode fills the parent's subtree cache, compact mode its
+            # render cache, while both child publishes migrate from them.
+            ("parent", 2): lambda: to_xml(plan.publish(parent)),
+            ("parent", None): lambda: plan.publish_bytes(parent, indent=None),
+            ("child", 2): lambda: plan.publish_bytes(child),
+            ("child", None): lambda: plan.publish_bytes(child, indent=None),
+        }
+        barrier = threading.Barrier(len(calls))
+        produced: dict = {}
+        errors: list[BaseException] = []
+
+        def run(key):
+            barrier.wait()
+            try:
+                produced[key] = calls[key]()
+            except BaseException as error:  # pragma: no cover - the failure
+                errors.append(error)
+
+        threads = [threading.Thread(target=run, args=(key,)) for key in calls]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert errors == []
+        assert produced == expected

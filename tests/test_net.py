@@ -200,6 +200,26 @@ def test_stats_and_explain(client):
     assert explain["view"] == "tau1"
 
 
+def test_default_publish_after_commit_migrates_the_parent_state(client):
+    _setup(client)
+    client.publish("tau1", source="db")
+    client.commit("db", Delta.insert("course", ("CS777", "Migrated", "CS")))
+    after = client.publish("tau1", source="db")
+    assert after.version == 1
+    cache = client.stats()["server"]["views"][0]["cache"]
+    assert cache["retained"] > 0  # no query parameter needed to go incremental
+    # The same bytes as a from-scratch render of the version.
+    from repro.engine import compile_plan
+    from repro.serve.net.app import default_catalog
+
+    instance = example_registrar_instance().apply_delta(
+        Delta.insert("course", ("CS777", "Migrated", "CS"))
+    )
+    assert after.document == compile_plan(default_catalog()["tau1"]()).publish_bytes(
+        instance
+    )
+
+
 def test_prune_over_http(client):
     _setup(client)
     for step in range(3):

@@ -1,8 +1,9 @@
 """The multi-core tier: repro.parallel and the pool seams of the server.
 
 The contract under test is one sentence long: **pooled output is
-byte-identical to serial output, always** -- on every backend x maintenance
-x output combination, for single-publish subtree fan-out
+byte-identical to serial output, always** -- on every backend x output
+combination, with the parent version's state warm or cold, for
+single-publish subtree fan-out
 (:func:`parallel_publish_bytes`), batched serving
 (:meth:`ViewServer.publish_batch`) and the network tier's sharded
 subscriber fan-out -- and every pool failure (worker crash, unpicklable
@@ -88,6 +89,52 @@ class TestPoolBasics:
         future = pool.submit("publish_bytes", 10**9, 10**9)  # unknown tokens
         with pytest.raises((KeyError, WorkerTaskError)):
             future.result()
+
+    def test_child_instance_ships_without_its_lineage(self, pool):
+        parent = example_registrar_instance()
+        child = parent.apply_delta(Delta.insert("course", ("cs903", "C", "CS")))
+        assert child._lineage is not None
+        plan = compile_plan(tau1_prerequisite_hierarchy())
+        # install() raises NotShippable if the weak lineage were pickled.
+        tokens = (pool.install(plan), pool.install(child))
+        future = pool.submit("publish_bytes", *tokens, indent=2, tokens=tokens)
+        assert future.result() == compile_plan(
+            tau1_prerequisite_hierarchy()
+        ).publish_bytes(child)
+
+    @pytest.mark.parametrize("encoded", [False, True], ids=["row", "columnar"])
+    def test_child_ships_as_its_delta_and_migrates_on_the_worker(self, encoded):
+        parent = example_registrar_instance()
+        if encoded:
+            parent = encoded_twin(parent)
+        child = parent.apply_delta(Delta.insert("prereq", ("cs450", "cs340")))
+        plan = compile_plan(tau1_prerequisite_hierarchy())
+        with WorkerPool(workers=1) as single:
+            plan_token, parent_token = single.install(plan), single.install(parent)
+            single.submit(
+                "publish_bytes", plan_token, parent_token,
+                tokens=(plan_token, parent_token),
+            ).result()
+            child_token = single.install(child)
+            document = single.submit(
+                "publish_bytes", plan_token, child_token,
+                tokens=(plan_token, child_token),
+            ).result()
+            stats = single.stats()
+        assert stats["installs_derived"] == 1  # the child crossed as a delta
+        assert stats["worker_cache"]["retained"] > 0
+        assert document == compile_plan(
+            tau1_prerequisite_hierarchy()
+        ).publish_bytes(child.without_encoding())
+
+    def test_child_of_an_unshipped_parent_ships_whole(self, pool):
+        parent = example_registrar_instance()
+        child = parent.apply_delta(Delta.insert("course", ("cs904", "D", "CS")))
+        plan = compile_plan(tau1_prerequisite_hierarchy())
+        tokens = (pool.install(plan), pool.install(child))
+        assert pool.submit(
+            "publish_bytes", *tokens, tokens=tokens
+        ).result() == compile_plan(tau1_prerequisite_hierarchy()).publish_bytes(child)
 
     def test_closed_pool_is_broken(self):
         small = WorkerPool(workers=1)
@@ -177,13 +224,9 @@ class TestPublishBatch:
 
     @staticmethod
     def _requests(handles):
-        axes = itertools.product(
-            ("bytes", "compact", "xml"),
-            ("auto", "row", "columnar"),
-            ("auto", "full", "incremental"),
-        )
+        axes = itertools.product(("bytes", "compact", "xml"), ("auto", "row", "columnar"))
         requests = []
-        for output, backend, maintenance in axes:
+        for output, backend in axes:
             requests.append(
                 dict(
                     view="hierarchy",
@@ -191,7 +234,6 @@ class TestPublishBatch:
                     source=handles["reg"],
                     output=output,
                     backend=backend,
-                    maintenance=maintenance,
                 )
             )
         requests.append(dict(view="diamonds", source=handles["dia"], output="bytes"))
@@ -202,8 +244,16 @@ class TestPublishBatch:
         requests.append(dict(view="counter", source=handles["cnt"], output="tree"))
         return requests
 
-    def test_byte_identity_across_all_axes(self, pool):
+    @pytest.mark.parametrize("parent", ["warm", "cold"])
+    def test_byte_identity_across_all_axes(self, pool, parent):
         serial, pooled, serial_handles, pooled_handles = self._servers(pool)
+        for server, handles in ((serial, serial_handles), (pooled, pooled_handles)):
+            server.publish_batch(self._requests(handles))
+            handles["reg"].commit(Delta.insert("course", ("CS902", "B", "CS")))
+            if parent == "cold":
+                for view in server.views:
+                    for plan in view.plans:
+                        plan.clear_cache()
         expected = [serial.publish(**r) for r in self._requests(serial_handles)]
         got = pooled.publish_batch(self._requests(pooled_handles))
         assert len(got) == len(expected)
@@ -224,6 +274,25 @@ class TestPublishBatch:
             for handles in (serial_handles, pooled_handles)
         ]
         assert pooled.publish_batch([requests[1]]) == [serial.publish(**requests[0])]
+
+    def test_batch_keeps_a_migrating_publish_in_process(self, pool):
+        _, pooled, _, handles = self._servers(pool)
+        request = dict(
+            view="hierarchy", params={"department": "CS"},
+            source=handles["reg"], output="bytes",
+        )
+        pooled.publish(**request)  # the parent's state is cached here
+        handles["reg"].commit(Delta.insert("prereq", ("cs450", "cs340")))
+        plan = pooled.view("hierarchy").plan_for({"department": "CS"})
+        dispatched = pool.stats()["tasks_dispatched"]
+        retained = plan.cache_stats.retained
+        assert pooled.publish_batch([request]) == [
+            compile_plan(
+                registrar_view_suite()["hierarchy"][0](department="CS")
+            ).publish_bytes(handles["reg"].instance)
+        ]
+        assert pool.stats()["tasks_dispatched"] == dispatched
+        assert plan.cache_stats.retained > retained
 
     def test_snapshot_isolation_of_pinned_batch(self, pool):
         _, pooled, _, handles = self._servers(pool)

@@ -4,8 +4,9 @@ The contract under test is the acceptance bar of the serialization PR:
 
 * ``publish_bytes`` / ``publish(output="bytes"|"compact")`` is byte-identical
   to the established serialisers (``to_xml`` / ``to_compact_xml`` /
-  ``IncrementalXmlSerializer``) on every backend x maintenance x output
-  combination, including escaping edge cases and republish chains;
+  ``IncrementalXmlSerializer``) on every backend x parent-state x output
+  combination -- a child version rendered from its parent's migrated state
+  or from scratch -- including escaping edge cases and commit chains;
 * the bytes path never constructs a ``TreeNode``;
 * rendered-span cache hits surface through ``stats()`` / ``explain()``;
 * the node budget charges exactly as tree mode (same minimal budget);
@@ -27,7 +28,7 @@ from repro.relational.columnar import ensure_encoded
 from repro.relational.delta import Delta
 from repro.relational.instance import Instance
 from repro.relational.schema import RelationalSchema
-from repro.serve import BACKENDS, MAINTENANCE, ViewServer
+from repro.serve import BACKENDS, ViewServer
 from repro.workloads.blowup import (
     binary_counter_instance,
     binary_counter_transducer,
@@ -61,7 +62,14 @@ def _workloads():
     ]
 
 
-ALL_COMBOS = tuple(itertools.product(BACKENDS, MAINTENANCE, ("bytes", "compact")))
+ALL_COMBOS = tuple(itertools.product(BACKENDS, ("warm", "cold"), ("bytes", "compact")))
+
+
+def _commit_one_deletion(handle) -> None:
+    """Commit a single-tuple deletion from the source's largest relation."""
+    instance = handle.instance
+    name = max(sorted(instance), key=lambda relation: len(instance[relation]))
+    handle.commit(Delta.delete(name, min(instance[name].tuples, key=repr)))
 
 
 # ---------------------------------------------------------------------------
@@ -70,24 +78,27 @@ ALL_COMBOS = tuple(itertools.product(BACKENDS, MAINTENANCE, ("bytes", "compact")
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("backend,maintenance,output", ALL_COMBOS)
-    def test_all_workloads_all_combos(self, backend, maintenance, output):
+    @pytest.mark.parametrize("backend,parent,output", ALL_COMBOS)
+    def test_all_workloads_all_combos(self, backend, parent, output):
+        indent = 2 if output == "bytes" else None
         for name, tau, instance in _workloads():
-            expected = _fresh_document(
-                tau, instance, indent=2 if output == "bytes" else None
-            )
             server = ViewServer()
-            server.register_view(name, tau)
-            server.attach(instance, name="src")
-            produced = server.publish(
-                name, output=output, backend=backend, maintenance=maintenance
-            )
-            assert produced == expected, (name, backend, maintenance, output)
+            view = server.register_view(name, tau)
+            handle = server.attach(instance, name="src")
+            expected = _fresh_document(tau, instance, indent=indent)
+            produced = server.publish(name, output=output, backend=backend)
+            assert produced == expected, (name, backend, parent, output)
             # A second publish serves from the rendered-span cache; the
             # bytes must not change.
-            assert server.publish(
-                name, output=output, backend=backend, maintenance=maintenance
-            ) == expected
+            assert server.publish(name, output=output, backend=backend) == expected
+            # The child version renders from the parent's migrated state
+            # ("warm") or, with the parent's state dropped, from scratch.
+            _commit_one_deletion(handle)
+            if parent == "cold":
+                view.plan_for(None).clear_cache()
+            expected = _fresh_document(tau, handle.instance, indent=indent)
+            produced = server.publish(name, output=output, backend=backend)
+            assert produced == expected, (name, backend, parent, output)
 
     @pytest.mark.parametrize("indent", [0, 2, 4, None])
     def test_indent_variants_match_serializers(self, indent):
@@ -179,7 +190,7 @@ class TestEscaping:
 
 
 # ---------------------------------------------------------------------------
-# Republish chains: incremental bytes vs the full-render oracle.
+# Commit chains: migrated bytes vs the full-render oracle.
 # ---------------------------------------------------------------------------
 
 
@@ -209,12 +220,10 @@ class TestRepublishChains:
         for delta in deltas:
             handle.commit(delta)
             for output, indent in (("bytes", 2), ("compact", None)):
-                produced = server.publish(
-                    "tau1", output=output, maintenance="incremental"
-                )
+                produced = server.publish("tau1", output=output)
                 assert produced == _fresh_document(tau, handle.instance, indent=indent)
 
-    def test_republish_reuses_rendered_spans(self):
+    def test_publish_after_commit_reuses_rendered_spans(self):
         server = ViewServer()
         server.register_view("tau1", tau1_prerequisite_hierarchy())
         handle = server.attach(
@@ -222,9 +231,9 @@ class TestRepublishChains:
             name="reg",
             encoded=True,
         )
-        server.publish("tau1", output="bytes", maintenance="incremental")
+        server.publish("tau1", output="bytes")
         handle.commit(Delta.insert("course", ("cs999", "New Course", "CS")))
-        server.publish("tau1", output="bytes", maintenance="incremental")
+        server.publish("tau1", output="bytes")
         cache = server.stats().as_dict()["views"][0]["cache"]
         assert cache["rendered_hits"] > 0
         assert cache["rendered_misses"] > 0

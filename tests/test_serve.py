@@ -2,26 +2,28 @@
 
 The contract under test is the acceptance bar of the API redesign:
 
-* ``server.publish`` output is byte-identical to the legacy ``publish_xml``
-  path on tau1-tau3 and both blow-up workloads for every (backend,
-  maintenance) combination, before and after commits;
+* ``server.publish`` output is byte-identical to a serialised tree from a
+  fresh plan on tau1-tau3 and both blow-up workloads for every backend,
+  before and after commits, both when the parent version's state is warm
+  (the publish migrates it) and when it is gone (a cold render);
 * snapshot isolation: a reader pinned to version ``N`` is unaffected by
   commit ``N + 1``;
-* subscription edit scripts replay to the full-publish oracle;
-* parameterized views bind exactly like manually-substituted constants;
-* the legacy entry points delegate and warn.
+* subscription edit scripts replay to the full-publish oracle, and one
+  chain serves every subscriber of a key;
+* parameterized views bind exactly like manually-substituted constants.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
 from repro.engine.builder import TransducerBuilder
 from repro.engine.plan import compile_plan
-from repro.incremental import IncrementalPublisher
 from repro.languages.common import element
 from repro.languages.forxml import ForXmlView
 from repro.languages.registry import compile_frontend, frontend_language
@@ -32,12 +34,10 @@ from repro.relational.delta import Delta
 from repro.relational.instance import Instance
 from repro.serve import (
     BACKENDS,
-    MAINTENANCE,
     ServeError,
     SourceHandle,
     SourceVersion,
     ViewServer,
-    serialize_tree,
 )
 from repro.workloads.blowup import (
     binary_counter_instance,
@@ -60,21 +60,38 @@ from repro.xmltree.tree import TreeNode
 
 
 def oracle_xml(transducer, instance: Instance) -> str:
-    """The legacy-path document: a fresh compiled plan, serialised tree."""
-    return serialize_tree(compile_plan(transducer).publish(instance))
+    """The oracle document: a fresh compiled plan, serialised tree."""
+    return to_xml(compile_plan(transducer).publish(instance))
 
 
-ALL_COMBOS = tuple(itertools.product(BACKENDS, MAINTENANCE))
+#: Whether the parent version's cached state survives until the child's
+#: publish ("warm": the publish migrates it) or not ("cold": from scratch).
+PARENT_STATES = ("warm", "cold")
+
+ALL_COMBOS = tuple(itertools.product(BACKENDS, PARENT_STATES))
+
+
+def settle_parents(server: ViewServer, parent: str) -> None:
+    """Apply the parent-state axis: on "cold", drop every cached state."""
+    if parent == "cold":
+        for view in server.views:
+            for plan in view.plans:
+                plan.clear_cache()
+
+
+def retained(server: ViewServer) -> int:
+    """Memoised expansions carried over to child versions, over all plans."""
+    return sum(plan.cache_stats.retained for view in server.views for plan in view.plans)
 
 
 # ---------------------------------------------------------------------------
-# Byte identity with the legacy path, across every routing combination.
+# Byte identity with a fresh plan, across every routing combination.
 # ---------------------------------------------------------------------------
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("backend,maintenance", ALL_COMBOS)
-    def test_registrar_views_all_combos(self, backend, maintenance):
+    @pytest.mark.parametrize("backend,parent", ALL_COMBOS)
+    def test_registrar_views_all_combos(self, backend, parent):
         views = {
             "tau1": tau1_prerequisite_hierarchy(),
             "tau2": tau2_prerequisite_closure(),
@@ -93,51 +110,37 @@ class TestByteIdentity:
             Delta.delete("course", ("cs450", "Databases", "CS")),
         ]
         for name, tau in views.items():
-            xml = server.publish(
-                name, output="bytes", backend=backend, maintenance=maintenance
-            )
+            xml = server.publish(name, output="bytes", backend=backend)
             assert xml == oracle_xml(tau, handle.instance)
         for delta in deltas:
             handle.commit(delta)
+            settle_parents(server, parent)
             for name, tau in views.items():
-                xml = server.publish(
-                    name, output="bytes", backend=backend, maintenance=maintenance
-                )
+                xml = server.publish(name, output="bytes", backend=backend)
                 assert xml == oracle_xml(tau, handle.instance)
+        # The warm axis really renders migrated state; the cold one never.
+        assert (retained(server) > 0) == (parent == "warm")
 
-    @pytest.mark.parametrize("backend,maintenance", ALL_COMBOS)
-    def test_blowup_workloads_all_combos(self, backend, maintenance):
+    @pytest.mark.parametrize("backend,parent", ALL_COMBOS)
+    def test_blowup_workloads_all_combos(self, backend, parent):
         server = ViewServer()
         server.register_view("diamonds", chain_of_diamonds_transducer())
         server.register_view("counter", binary_counter_transducer())
         diamonds = server.attach(chain_of_diamonds_instance(4), name="diamonds")
         counter = server.attach(binary_counter_instance(2), name="counter")
 
-        xml = server.publish(
-            "diamonds",
-            source=diamonds,
-            output="bytes",
-            backend=backend,
-            maintenance=maintenance,
-        )
+        xml = server.publish("diamonds", source=diamonds, output="bytes", backend=backend)
         assert xml == oracle_xml(chain_of_diamonds_transducer(), diamonds.instance)
         diamonds.commit(Delta.delete("R", ("b3_2", "a4")))
-        xml = server.publish(
-            "diamonds",
-            source=diamonds,
-            output="bytes",
-            backend=backend,
-            maintenance=maintenance,
-        )
+        settle_parents(server, parent)
+        xml = server.publish("diamonds", source=diamonds, output="bytes", backend=backend)
         assert xml == oracle_xml(chain_of_diamonds_transducer(), diamonds.instance)
 
-        xml = server.publish(
-            "counter",
-            source=counter,
-            output="bytes",
-            backend=backend,
-            maintenance=maintenance,
-        )
+        xml = server.publish("counter", source=counter, output="bytes", backend=backend)
+        assert xml == oracle_xml(binary_counter_transducer(), counter.instance)
+        counter.commit(Delta.delete("counter", (1, 0, 0)))
+        settle_parents(server, parent)
+        xml = server.publish("counter", source=counter, output="bytes", backend=backend)
         assert xml == oracle_xml(binary_counter_transducer(), counter.instance)
 
     def test_encoded_source_all_combos(self):
@@ -146,11 +149,11 @@ class TestByteIdentity:
         server.register_view("tau1", tau)
         handle = server.attach(example_registrar_instance(), encoded=True)
         assert encoding_of(handle.instance) is not None
-        handle.commit(Delta.insert("prereq", ("cs452", "cs240")))
-        for backend, maintenance in ALL_COMBOS:
-            xml = server.publish(
-                "tau1", output="bytes", backend=backend, maintenance=maintenance
-            )
+        for backend, parent in ALL_COMBOS:
+            server.publish("tau1", output="bytes", backend=backend)
+            handle.commit(Delta.insert("prereq", (f"cs45{handle.version}", "cs240")))
+            settle_parents(server, parent)
+            xml = server.publish("tau1", output="bytes", backend=backend)
             assert xml == oracle_xml(tau, handle.instance.without_encoding())
 
     def test_output_forms_agree(self):
@@ -163,9 +166,7 @@ class TestByteIdentity:
         events = server.publish("tau2", output="events")
         assert trees_equal(events_to_tree(events), tree)
         assert server.publish("tau2", output="bytes") == to_xml(tree)
-        assert server.publish("tau2", output="bytes", indent=None) == serialize_tree(
-            tree, indent=None
-        )
+        assert server.publish("tau2", output="bytes", indent=None) == to_compact_xml(tree)
         assert server.publish("tau2", output="compact") == to_compact_xml(tree)
         chunks: list[str] = []
         assert server.publish("tau2", output="bytes", write=chunks.append) == ""
@@ -178,36 +179,20 @@ class TestByteIdentity:
 
 
 class TestSnapshotIsolation:
-    def test_events_output_stays_lazy_under_auto_maintenance(self):
+    def test_publish_never_seeds_a_chain(self):
         server = ViewServer()
         server.register_view("tau1", tau1_prerequisite_hierarchy())
-        server.attach(example_registrar_instance())
+        handle = server.attach(example_registrar_instance())
         events = server.publish("tau1", output="events")
-        # No maintained chain was seeded just to answer a streaming request;
-        # the events come straight from the lazy engine driver.  The same
-        # holds for the serialised forms (bytes/compact stream through the
-        # incremental serializer instead of materialising a tree).
-        assert server._maintained == {}
         assert events_to_tree(events).label == "db"
-        server.publish("tau1", output="bytes")
-        server.publish("tau1", output="compact")
+        for output in ("tree", "bytes", "compact"):
+            server.publish("tau1", output=output)
+        handle.commit(Delta.insert("course", ("cs701", "Topics", "CS")))
+        for output in ("tree", "bytes", "compact"):
+            server.publish("tau1", output=output)
+        # Publishing is incremental by itself: only subscriptions own chains.
         assert server._maintained == {}
-        server.publish("tau1")  # a tree request does seed the chain
-        assert len(server._maintained) == 1
-
-    def test_maintained_chains_are_lru_capped(self):
-        server = ViewServer(maintained_views=2)
-        server.register_view(
-            "hierarchy", tau1_prerequisite_hierarchy, params=("department",)
-        )
-        server.attach(example_registrar_instance())
-        for department in ("CS", "Math", "Physics", "EE"):
-            server.publish(
-                "hierarchy",
-                params={"department": department},
-                maintenance="incremental",
-            )
-        assert len(server._maintained) == 2
+        assert server.stats().maintained_chains == 0
 
     def test_reader_on_old_version_is_unaffected_by_commits(self):
         tau = tau1_prerequisite_hierarchy()
@@ -218,14 +203,11 @@ class TestSnapshotIsolation:
         frozen = server.publish("tau1", source=snapshot, output="bytes")
         handle.commit(Delta.insert("course", ("cs700", "Quantum", "CS")))
         handle.commit(Delta.delete("prereq", ("cs340", "cs240")))
-        # The snapshot still reads version 0, in every backend/maintenance.
-        for backend, maintenance in ALL_COMBOS:
+        # The snapshot still reads version 0, on every backend, warm or cold.
+        for backend, parent in ALL_COMBOS:
+            settle_parents(server, parent)
             again = server.publish(
-                "tau1",
-                source=snapshot,
-                output="bytes",
-                backend=backend,
-                maintenance=maintenance,
+                "tau1", source=snapshot, output="bytes", backend=backend
             )
             assert again == frozen
         # The latest version sees both commits.
@@ -397,15 +379,150 @@ class TestSubscriptions:
         first, second = subscriptions[0], subscriptions[1]
         assert first.tree is second.tree  # the shared chain's tree
 
-    def test_prune_bounds_history_and_lagging_chains_reseed(self):
+    def test_resubscribing_after_other_keys_shares_the_first_chain(self, monkeypatch):
+        server = ViewServer()
+        server.register_view("tau1", tau1_prerequisite_hierarchy())
+        server.register_view(
+            "hierarchy", tau1_prerequisite_hierarchy, params=("department",)
+        )
+        handle = server.attach(example_registrar_instance())
+        first = server.subscribe("tau1")
+        # Many other keys subscribe in between; no chain with a subscriber
+        # may be evicted to make room for them.
+        for index in range(40):
+            server.subscribe("hierarchy", params={"department": f"D{index}"})
+        second = server.subscribe("tau1")
+        assert second._maintained is first._maintained
+        plan = server.view("tau1").plan_for(None)
+        calls = []
+        original = plan.republish
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(plan, "republish", counting)
+        handle.commit(Delta.insert("course", ("cs983", "Shared", "CS")))
+        assert len(calls) == 1
+        assert first.pop().tree is second.pop().tree
+
+    def test_subscriber_racing_a_last_close_attaches_to_the_registered_chain(
+        self, monkeypatch
+    ):
+        from repro.serve.server import _MaintainedView
+
+        server = ViewServer()
+        server.register_view("tau1", tau1_prerequisite_hierarchy())
+        handle = server.attach(example_registrar_instance())
+        doomed = server.subscribe("tau1")
+        orphan = doomed._maintained
+        racers = []
+        original = _MaintainedView.advance
+
+        def interleaved(chain, target):
+            original(chain, target)
+            if chain is orphan and not racers:
+                # Between fetching the chain and attaching to it: the chain's
+                # last subscriber leaves, and another subscriber seeds anew.
+                doomed.close()
+                racers.append(server.subscribe("tau1"))
+
+        monkeypatch.setattr(_MaintainedView, "advance", interleaved)
+        late = server.subscribe("tau1")
+        (racer,) = racers
+        assert late._maintained is racer._maintained is not orphan
+        assert list(server._maintained.values()) == [racer._maintained]
+        plan = server.view("tau1").plan_for(None)
+        calls = []
+        republish = plan.republish
+        monkeypatch.setattr(
+            plan, "republish", lambda *a, **k: calls.append(1) or republish(*a, **k)
+        )
+        handle.commit(Delta.insert("course", ("cs985", "Raced", "CS")))
+        assert len(calls) == 1
+        assert late.pop().tree is racer.pop().tree
+
+    def test_concurrent_subscribe_and_close_keep_one_chain_per_key(self):
+        server = ViewServer()
+        server.register_view("tau1", tau1_prerequisite_hierarchy())
+        handle = server.attach(example_registrar_instance())
+        kept: list = []
+        errors: list[BaseException] = []
+
+        def churn(worker: int) -> None:
+            try:
+                for step in range(12):
+                    subscription = server.subscribe("tau1")
+                    if (worker + step) % 3:
+                        subscription.close()
+                    else:
+                        kept.append(subscription)
+            except BaseException as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        def commit() -> None:
+            try:
+                for index in range(6):
+                    handle.commit(
+                        Delta.insert("course", (f"cs7{index:02d}", "Churn", "CS"))
+                    )
+            except BaseException as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=churn, args=(n,)) for n in range(8)]
+        threads.append(threading.Thread(target=commit))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        chains = {id(subscription._maintained) for subscription in kept}
+        assert len(chains) == 1
+        assert [id(chain) for chain in server._maintained.values()] == list(chains)
+        for subscription in kept:
+            subscription.drain()
+        handle.commit(Delta.insert("course", ("cs799", "After", "CS")))
+        trees = {id(subscription.pop().tree) for subscription in kept}
+        assert len(trees) == 1
+        assert to_xml(kept[0].tree) == oracle_xml(
+            tau1_prerequisite_hierarchy(), handle.instance
+        )
+
+    def test_last_close_drops_the_chain(self):
+        server = ViewServer()
+        server.register_view("tau1", tau1_prerequisite_hierarchy())
+        handle = server.attach(example_registrar_instance())
+        first, second = server.subscribe("tau1"), server.subscribe("tau1")
+        assert len(server._maintained) == 1
+        first.close()
+        assert len(server._maintained) == 1  # the chain still has a subscriber
+        second.close()
+        assert server._maintained == {}
+        third = server.subscribe("tau1")  # a fresh chain at the latest version
+        handle.commit(Delta.insert("course", ("cs984", "Again", "CS")))
+        assert third.pop().version == 1
+        assert to_xml(third.tree) == oracle_xml(
+            tau1_prerequisite_hierarchy(), handle.instance
+        )
+
+    def test_prune_bounds_history_and_lagging_subscriptions_reseed(self):
         tau = tau1_prerequisite_hierarchy()
         server = ViewServer()
         server.register_view("tau1", tau)
         handle = server.attach(example_registrar_instance())
         pinned = handle.snapshot()
         frozen = server.publish("tau1", source=pinned, output="bytes")
-        # A maintained chain left behind at version 0 (no subscribers).
-        server.publish("tau1", backend="row", maintenance="incremental")
+        # A subscription chain left behind at version 0, as when a racing
+        # commit prunes before another commit's delivery reaches the chain:
+        # detached from the handle's delivery list, no commit advances it.
+        lagging = server.subscribe("tau1", backend="row")
+        handle._subscriptions.remove(lagging)
         subscription = server.subscribe("tau1")
         handle.commit(Delta.insert("course", ("cs981", "Pruned A", "CS")))
         handle.commit(Delta.insert("course", ("cs982", "Pruned B", "CS")))
@@ -416,9 +533,10 @@ class TestSubscriptions:
         # The pinned version object still reads its own snapshot.
         assert server.publish("tau1", source=pinned, output="bytes") == frozen
         # The lagging chain reseeds across the pruned gap, byte-identically.
-        assert server.publish(
-            "tau1", backend="row", maintenance="incremental", output="bytes"
-        ) == oracle_xml(tau, handle.instance)
+        lagging._maintained.advance(handle.latest)
+        assert [event.version for event in lagging.drain()] == [2]
+        assert to_xml(lagging.tree) == oracle_xml(tau, handle.instance)
+        assert server.publish("tau1", output="bytes") == oracle_xml(tau, handle.instance)
         # The subscriber chain was advanced at commit time, before pruning.
         assert [event.version for event in subscription.drain()] == [1, 2]
 
@@ -513,21 +631,13 @@ class TestParameterizedViews:
         for name, (factory, params) in registrar_view_suite().items():
             server.register_view(name, factory, params=params)
         handle = server.attach(example_registrar_instance())
-        before = server.publish(
-            "closure",
-            params={"department": "CS"},
-            output="bytes",
-            maintenance="incremental",
-        )
+        before = server.publish("closure", params={"department": "CS"}, output="bytes")
         assert before == oracle_xml(tau2_prerequisite_closure("CS"), handle.instance)
         handle.commit(Delta.insert("prereq", ("cs450", "cs340")))
-        after = server.publish(
-            "closure",
-            params={"department": "CS"},
-            output="bytes",
-            maintenance="incremental",
-        )
+        after = server.publish("closure", params={"department": "CS"}, output="bytes")
         assert after == oracle_xml(tau2_prerequisite_closure("CS"), handle.instance)
+        plan = server.view("closure").plan_for({"department": "CS"})
+        assert plan.cache_stats.retained > 0  # the bound plan migrated too
 
     def test_binding_validation(self):
         server = ViewServer()
@@ -654,8 +764,6 @@ class TestRegistration:
             server.publish("tau1")
         instance = example_registrar_instance()
         assert isinstance(server.publish("tau1", source=instance), TreeNode)
-        with pytest.raises(ServeError, match="incremental"):
-            server.publish("tau1", source=instance, maintenance="incremental")
         with pytest.raises(ServeError, match="unknown view"):
             server.publish("nope", source=instance)
         with pytest.raises(ServeError, match="unknown backend"):
@@ -707,9 +815,9 @@ class TestObservability:
         server = ViewServer()
         server.register_view("tau3", tau3_courses_without_db_prereq())
         handle = server.attach(example_registrar_instance())
-        server.publish("tau3", maintenance="incremental")
+        server.publish("tau3")
         handle.commit(Delta.delete("prereq", ("cs240", "cs101")))
-        server.publish("tau3", maintenance="incremental")
+        server.publish("tau3")
         report = server.explain("tau3")
         assert report.view == "tau3"
         assert report.rules  # one entry per compiled rule item
@@ -717,44 +825,18 @@ class TestObservability:
         assert any(rule.last_backend == "row" for rule in report.rules)
         strategies = {rule.delta_strategy for rule in report.rules}
         assert any("semi-naive" in s or "recompute" in s for s in strategies)
-        assert "republish:" in report.maintenance
+        assert "migration:" in report.maintenance
         text = report.describe()
         assert "delta:" in text and "backend=" in text
         assert report.as_dict()["view"] == "tau3"
 
 
 # ---------------------------------------------------------------------------
-# The deprecated shims.
+# The core drivers.
 # ---------------------------------------------------------------------------
 
 
-class TestDeprecationShims:
-    def test_publish_xml_delegates_and_warns(self, tau1):
-        instance = example_registrar_instance()
-        plan = compile_plan(tau1)
-        with pytest.warns(DeprecationWarning, match="publish_xml"):
-            legacy = plan.publish_xml(instance)
-        server = ViewServer()
-        server.register_view("tau1", tau1)
-        assert server.publish("tau1", source=instance, output="bytes") == legacy
-
-    def test_publish_many_and_iter_delegate_and_warn(self, tau1):
-        plan = compile_plan(tau1)
-        instances = [example_registrar_instance()]
-        with pytest.warns(DeprecationWarning, match="publish_many"):
-            batch = plan.publish_many(instances)
-        with pytest.warns(DeprecationWarning, match="publish_iter"):
-            lazy = list(plan.publish_iter(instances))
-        assert batch == lazy == [plan.publish(instances[0])]
-
-    def test_incremental_publisher_warns_and_matches_server(self, tau1):
-        with pytest.warns(DeprecationWarning, match="IncrementalPublisher"):
-            publisher = IncrementalPublisher(tau1, example_registrar_instance())
-        step = publisher.insert("course", ("cs960", "Types", "CS"))
-        assert step.instance is publisher.instance
-        assert publisher.updates == 1
-        publisher.verify()
-
+class TestCoreDrivers:
     def test_core_drivers_do_not_warn(self, tau1):
         import warnings
 
@@ -764,4 +846,5 @@ class TestDeprecationShims:
             warnings.simplefilter("error", DeprecationWarning)
             plan.publish(instance)
             list(plan.publish_events(instance))
+            plan.publish_bytes(instance)
             plan.republish(instance, Delta.insert("prereq", ("cs610", "cs240")))

@@ -7,8 +7,9 @@ refutation witnesses), the O(depth) streaming validator at Proposition-1
 depths, and the full serving integration --
 ``register_view(..., output_dtd=..., typecheck=...)`` rejection, proved
 views publishing with zero validation cost, undecided views validating
-streamingly with byte-identical output across every backend x output x
-maintenance combination.
+streamingly with byte-identical output across every backend x output
+combination, on a child version rendered from its parent's migrated state
+or from scratch.
 """
 
 from __future__ import annotations
@@ -654,7 +655,9 @@ class TestServerIntegration:
         server.publish("t3", output="bytes")
         assert view.validated == 2  # the new version validates once
 
-    def test_maintained_tree_output_is_validated(self):
+    def test_tree_output_validates_once_per_version(self):
+        from repro.relational.delta import Delta
+
         server = ViewServer()
         view = server.register_view(
             "t3",
@@ -662,10 +665,14 @@ class TestServerIntegration:
             output_dtd=tau3_exact_dtd(),
             typecheck="runtime",
         )
-        server.attach(example_registrar_instance(), name="db")
-        server.publish("t3", output="tree", maintenance="incremental")
-        server.publish("t3", output="tree", maintenance="incremental")
+        handle = server.attach(example_registrar_instance(), name="db")
+        server.publish("t3", output="tree")
+        server.publish("t3", output="tree")
         assert view.validated == 1
+        handle.commit(Delta.insert("course", ("CS998", "Newer", "CS")))
+        server.publish("t3", output="tree")
+        server.publish("t3", output="tree")
+        assert view.validated == 2
 
 
 class TestByteIdentity:
@@ -673,12 +680,11 @@ class TestByteIdentity:
 
     @pytest.mark.parametrize("backend", ["row", "columnar"])
     @pytest.mark.parametrize("output", ["tree", "events", "bytes", "compact"])
-    @pytest.mark.parametrize("maintenance", ["full", "incremental"])
-    def test_all_combinations(self, backend, output, maintenance):
-        if output == "events" and maintenance == "incremental":
-            pytest.skip("maintained chains render events from the tree")
+    @pytest.mark.parametrize("parent", ["warm", "cold"])
+    def test_all_combinations(self, backend, output, parent):
+        from repro.relational.delta import Delta
 
-        def build(validating: bool) -> ViewServer:
+        def publish_child(validating: bool):
             server = ViewServer()
             if validating:
                 server.register_view(
@@ -689,12 +695,18 @@ class TestByteIdentity:
                 )
             else:
                 server.register_view("v", tau3_courses_without_db_prereq())
-            server.attach(example_registrar_instance(), name="db")
-            return server
+            handle = server.attach(example_registrar_instance(), name="db")
+            kwargs = dict(output=output, backend=backend)
+            parent_output = server.publish("v", **kwargs)
+            if output == "events":
+                list(parent_output)  # drive the lazy stream to warm the parent
+            handle.commit(Delta.insert("course", ("CS997", "Child", "CS")))
+            if parent == "cold":
+                server.view("v").plan_for(None).clear_cache()
+            return server.publish("v", **kwargs)
 
-        kwargs = dict(output=output, backend=backend, maintenance=maintenance)
-        checked = build(True).publish("v", **kwargs)
-        plain = build(False).publish("v", **kwargs)
+        checked = publish_child(True)
+        plain = publish_child(False)
         if output == "events":
             assert list(checked) == list(plain)
         else:
