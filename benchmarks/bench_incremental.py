@@ -22,7 +22,13 @@ full-publish oracle:
   ``SourceHandle.commit`` of one ``prereq`` edge, then
   ``ViewServer.publish(output="bytes")`` of the new version, which migrates
   the parent version's cached state -- against a fresh plan's
-  ``publish_bytes`` of the same version; it must be at least 4x faster.
+  ``publish_bytes`` of the same version; it must be at least 4x faster;
+* ``migration scaling``: the parent-to-child state migration alone, in µs,
+  for a single-tuple ``prereq`` delta at 150, 300 and 600 courses.  Under
+  ``tau3`` that delta invalidates one configuration at every size, so the
+  migration must cost about the same at 600 courses as at 150 (at most
+  2x); ``tau1``, whose ``prereq`` rule covers every course, is reported
+  alongside to show the cost following the delta's footprint instead.
 
 As with the other benchmarks, ratios are attached to the pytest-benchmark
 JSON via ``extra_info``; the module is also runnable directly -- ``python
@@ -39,13 +45,18 @@ import sys
 import time
 
 from repro.engine import compile_plan
+from repro.relational.columnar import encoded_twin
 from repro.relational.delta import Delta
 from repro.serve import ViewServer
 from repro.workloads.blowup import (
     chain_of_diamonds_instance,
     chain_of_diamonds_transducer,
 )
-from repro.workloads.registrar import generate_registrar_instance, tau1_prerequisite_hierarchy
+from repro.workloads.registrar import (
+    generate_registrar_instance,
+    tau1_prerequisite_hierarchy,
+    tau3_courses_without_db_prereq,
+)
 from repro.xmltree.serialize import to_xml
 
 #: The acceptance threshold for the single-tuple registrar update.
@@ -53,6 +64,10 @@ MIN_SPEEDUP = 5.0
 
 #: The acceptance threshold for the default-routed serving publish.
 MIN_DEFAULT_ROUTED_SPEEDUP = 4.0
+
+#: How much a constant-footprint migration may slow down from 150 to 600
+#: courses (4x the cache).
+MAX_MIGRATION_GROWTH = 2.0
 
 
 def _time(fn):
@@ -186,6 +201,75 @@ def measure_default_routed_publish(num_courses: int = 300, commits: int = 5) -> 
     }
 
 
+def _migration_micros(factory, num_courses: int, rounds: int) -> dict:
+    """Median µs of one parent-to-child migration on a fully warm plan."""
+    base = encoded_twin(
+        generate_registrar_instance(num_courses, max_prereqs=2, depth=6, seed=11)
+    )
+    plan = compile_plan(factory(), max_nodes=10**7)
+    plan.publish(base)
+    for indent in (2, None):
+        plan.publish_bytes(base, indent=indent)
+    names = sorted(row[0] for row in base["course"])
+    present = base["prereq"].tuples
+    edge = next(
+        (later, earlier)
+        for later in reversed(names)
+        for earlier in names
+        if earlier < later and (later, earlier) not in present
+    )
+    delta = Delta.insert("prereq", edge).normalized(base)
+    assert delta.change_count() == 1
+    parent = plan._instance_state(base)
+    seconds = []
+    for _ in range(rounds):
+        child = base.apply_delta(delta)  # a fresh version object per round
+        start = time.perf_counter()
+        state = plan._migrated_state(parent, child, delta)
+        seconds.append(time.perf_counter() - start)
+    return {
+        "num_courses": num_courses,
+        "migration_us": statistics.median(seconds) * 1e6,
+        "invalidated": state.invalidated,
+        "retained": state.retained,
+    }
+
+
+def measure_migration_scaling(sizes=(150, 300, 600), rounds: int = 40) -> dict:
+    """µs per migration for a single-tuple ``prereq`` delta, by cache size.
+
+    ``tau3``'s footprint is one configuration at every size, so its growth
+    from the smallest to the largest size is pure bookkeeping and is what
+    the ``MAX_MIGRATION_GROWTH`` bound reads; ``tau1``'s footprint grows
+    with the course count and is reported for contrast.
+    """
+    report = {}
+    for name, factory in (
+        ("tau3", tau3_courses_without_db_prereq),
+        ("tau1", tau1_prerequisite_hierarchy),
+    ):
+        runs = [_migration_micros(factory, size, rounds) for size in sizes]
+        report[name] = {
+            "runs": runs,
+            "largest_over_smallest": runs[-1]["migration_us"] / runs[0]["migration_us"],
+        }
+    report["growth"] = report["tau3"]["largest_over_smallest"]
+    return report
+
+
+def test_migration_cost_tracks_the_delta_not_the_cache(benchmark):
+    """A one-configuration delta migrates as fast on 4x the cache (<= 2x)."""
+
+    def run():
+        return measure_migration_scaling()
+
+    report = benchmark.pedantic(run, rounds=1, iterations=1)
+    if report is None:  # pragma: no cover - benchmark-disable quirk
+        report = run()
+    benchmark.extra_info.update(report)
+    assert report["growth"] <= MAX_MIGRATION_GROWTH
+
+
 def test_default_routed_publish_vs_fresh_plan(benchmark):
     """The serving path migrates by itself: >= 4x over a fresh-plan render."""
 
@@ -270,6 +354,7 @@ def main(argv: list[str]) -> int:
         "default_routed_publish": measure_default_routed_publish(
             150 if quick else 300
         ),
+        "migration_scaling": measure_migration_scaling(rounds=15 if quick else 40),
     }
     print(json.dumps(report, indent=2))
     failed = False
@@ -286,6 +371,14 @@ def main(argv: list[str]) -> int:
         print(
             f"FAIL: default-routed publish after a commit only {ratio:.1f}x "
             f"over a fresh-plan render (required: {MIN_DEFAULT_ROUTED_SPEEDUP}x)",
+            file=sys.stderr,
+        )
+        failed = True
+    growth = report["migration_scaling"]["growth"]
+    if growth > MAX_MIGRATION_GROWTH:
+        print(
+            f"FAIL: a one-configuration migration is {growth:.1f}x slower at "
+            f"600 courses than at 150 (allowed: {MAX_MIGRATION_GROWTH}x)",
             file=sys.stderr,
         )
         failed = True

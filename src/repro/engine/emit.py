@@ -68,26 +68,40 @@ class _RenderEntry:
     (already fully rendered, including indentation prefixes); ``texts`` is
     the raw escaped character data when the contribution is pure text (a
     virtual subtree of text leaves -- the enclosing element may still render
-    inline), ``None`` when it contains an element.  ``triples`` / ``weight``
-    / ``saved`` have the subtree-cache semantics: stop-condition safety and
-    delta invalidation, node-budget charge, and hit accounting.  ``document``
-    memoises the joined document on root entries so a cache-hot publish
-    returns one interned string.
+    inline), ``None`` when it contains an element.  ``triples`` / ``pairs``
+    / ``sensitive`` / ``weight`` / ``saved`` have the subtree-cache
+    semantics: stop-condition safety, delta invalidation and confirmation,
+    node-budget charge, and hit accounting.  ``document`` memoises the
+    joined document on root entries so a cache-hot publish returns one
+    interned string.
     """
 
-    __slots__ = ("chunks", "texts", "triples", "weight", "saved", "document")
+    __slots__ = (
+        "chunks",
+        "texts",
+        "triples",
+        "pairs",
+        "sensitive",
+        "weight",
+        "saved",
+        "document",
+    )
 
     def __init__(
         self,
         chunks: tuple[str, ...],
         texts: tuple[str, ...] | None,
         triples: frozenset,
+        pairs: frozenset,
+        sensitive: tuple | frozenset,
         weight: int,
         saved: int,
     ) -> None:
         self.chunks = chunks
         self.texts = texts
         self.triples = triples
+        self.pairs = pairs
+        self.sensitive = sensitive
         self.weight = weight
         self.saved = saved
         self.document: str | None = None
@@ -101,26 +115,30 @@ class SpanResult:
     pure text from a virtual subtree (the enclosing element may then still
     render inline), ``None`` otherwise.  ``triples`` is the configuration
     set for stop-condition/cacheability bookkeeping (``None`` when the span
-    is path-dependent or oversized), ``weight`` the node-budget charge and
-    ``opened`` the node count the span accounts for.  Everything here is
-    plain picklable data: this is exactly what a ``repro.parallel`` worker
-    sends back across the process boundary.
+    is path-dependent or oversized) and ``pairs`` / ``sensitive`` its
+    source-reading part, ``weight`` the node-budget charge and ``opened``
+    the node count the span accounts for.  Everything here is plain
+    picklable data: this is exactly what a ``repro.parallel`` worker sends
+    back across the process boundary.
     """
 
-    __slots__ = ("span", "texts", "triples", "weight", "opened")
+    __slots__ = ("span", "texts", "triples", "pairs", "sensitive", "weight", "opened")
 
-    def __init__(self, span, texts, triples, weight, opened):
+    def __init__(self, span, texts, triples, pairs, sensitive, weight, opened):
         self.span = span
         self.texts = texts
         self.triples = triples
+        self.pairs = pairs
+        self.sensitive = sensitive
         self.weight = weight
         self.opened = opened
 
     def __getstate__(self):
-        return (self.span, self.texts, self.triples, self.weight, self.opened)
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setstate__(self, state):
-        self.span, self.texts, self.triples, self.weight, self.opened = state
+        for name, value in zip(self.__slots__, state):
+            setattr(self, name, value)
 
 
 class _EmitFrame:
@@ -131,9 +149,10 @@ class _EmitFrame:
     empty/inline/mixed shape is known; the incremental serialiser solves the
     same problem with pending frames).  ``texts`` buffers raw escaped text
     while the frame's contribution is still pure text; it flips to ``None``
-    the moment an element child arrives.  ``triples`` / ``weight`` /
-    ``opened`` feed the cached entry, with ``None`` poisoning sharing after
-    a stop-condition hit exactly as in tree mode.
+    the moment an element child arrives.  ``triples`` / ``pairs`` /
+    ``sensitive`` / ``weight`` / ``opened`` feed the cached entry, with
+    ``None`` triples poisoning sharing after a stop-condition hit exactly as
+    in tree mode.
     """
 
     __slots__ = (
@@ -146,6 +165,8 @@ class _EmitFrame:
         "start",
         "texts",
         "triples",
+        "pairs",
+        "sensitive",
         "weight",
         "opened",
         "virtual",
@@ -158,14 +179,19 @@ def _confirmed_entry(plan, state, key) -> _RenderEntry | None:
     Path-disjointness is the caller's concern; this only answers "is there
     a (still valid) rendered span for this configuration".
     """
-    entry = state.renders.get(key)
+    cache = state.renders
+    entry = cache.stable.get(key)
+    if entry is None and cache.versioned:
+        entry = cache.versioned.get(key)
     if entry is None:
+        if not state.render_suspects:
+            return None
         entry = state.render_suspects.pop(key, None)
         if entry is None:
             return None
-        if not plan._confirm_triples(state, entry.triples):
+        if not plan._confirm(state, entry):
             return None
-        state.renders[key] = entry
+        cache.put(key, entry, entry.pairs)
     return entry
 
 
@@ -180,7 +206,12 @@ def _render_span(plan, state, cursor, indent, start_triple, start_level, blocked
     which is how a parallel worker rendering one sibling subtree observes
     the same stop condition a serial walk would.
     """
-    from repro.engine.plan import _SUBTREE_TRIPLE_LIMIT
+    from repro.engine.plan import (
+        _NO_PAIRS,
+        _SUBTREE_TRIPLE_LIMIT,
+        _fold_pairs,
+        _frozen_sensitive,
+    )
 
     virtual = plan._virtual
     pretty = indent is not None
@@ -243,6 +274,8 @@ def _render_span(plan, state, cursor, indent, start_triple, start_level, blocked
     for ancestor in blocked:
         path.add(ancestor)
     renders = state.renders
+    stable_renders = renders.stable
+    pair_sets = plan._pair_sets
     limit = _SUBTREE_TRIPLE_LIMIT
 
     def lookup(key) -> _RenderEntry | None:
@@ -275,6 +308,14 @@ def _render_span(plan, state, cursor, indent, start_triple, start_level, blocked
             out.append("")  # placeholder: empty / inline / open, patched at close
         frame.texts = []
         frame.triples = {triple}
+        by_state = pair_sets.get(tag)
+        pairs = by_state.get(triple[0]) if by_state else None
+        if pairs:
+            frame.pairs = pairs
+            frame.sensitive = {triple}
+        else:
+            frame.pairs = _NO_PAIRS
+            frame.sensitive = None
         frame.weight = len(expansion)
         frame.opened = 1
         return frame
@@ -327,6 +368,8 @@ def _render_span(plan, state, cursor, indent, start_triple, start_level, blocked
                     frame.texts.extend(entry.texts)
                 if frame.triples is not None:
                     frame.triples |= entry.triples
+                    if entry.pairs:
+                        _fold_pairs(frame, entry.pairs, entry.sensitive, False)
                     if len(frame.triples) > limit:
                         frame.triples = None
                 continue
@@ -354,15 +397,22 @@ def _render_span(plan, state, cursor, indent, start_triple, start_level, blocked
                 # No children at all (len(out) == start + 1 here).
                 out[start] = empty_of(tag, frame.level)
         triples = frame.triples
+        sensitive = frame.sensitive
         if triples is not None and len(out) - start <= _RENDER_SPAN_LIMIT:
+            frozen = frozenset(triples)
             entry = _RenderEntry(
                 tuple(out[start:]),
                 tuple(texts) if frame.virtual and texts is not None else None,
-                frozenset(triples),
+                frozen,
+                frame.pairs,
+                _frozen_sensitive(sensitive, frozen) if sensitive else (),
                 frame.weight,
                 frame.opened,
             )
-            renders[(indent, frame.triple, frame.level)] = entry
+            if sensitive:
+                renders.put((indent, frame.triple, frame.level), entry, frame.pairs)
+            else:
+                stable_renders[(indent, frame.triple, frame.level)] = entry
         if frames:
             parent = frames[-1]
             parent.weight += frame.weight
@@ -384,13 +434,18 @@ def _render_span(plan, state, cursor, indent, start_triple, start_level, blocked
                     parent.triples = triples
                 else:
                     parent.triples |= triples
+                if frame.pairs:
+                    _fold_pairs(parent, frame.pairs, sensitive, True)
                 if len(parent.triples) > limit:
                     parent.triples = None
         else:
+            frozen = frozenset(triples) if triples is not None else None
             info = SpanResult(
                 None,
                 tuple(texts) if frame.virtual and texts is not None else None,
-                frozenset(triples) if triples is not None else None,
+                frozen,
+                frame.pairs,
+                _frozen_sensitive(sensitive, frozen) if frozen and sensitive else (),
                 frame.weight,
                 frame.opened,
             )
@@ -470,7 +525,13 @@ def render_subtree(
         with plan._lock:
             plan._render_hits += 1
         return SpanResult(
-            "".join(entry.chunks), entry.texts, entry.triples, entry.weight, entry.saved
+            "".join(entry.chunks),
+            entry.texts,
+            entry.triples,
+            entry.pairs,
+            entry.sensitive,
+            entry.weight,
+            entry.saved,
         )
     out, info = _render_span(plan, state, cursor, indent, triple, level, blocked)
     info.span = "".join(out)

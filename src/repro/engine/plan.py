@@ -96,6 +96,11 @@ Triple = tuple[str, str, RegisterContent]
 #: bounds the bookkeeping cost of structural sharing on blow-up outputs.
 _SUBTREE_TRIPLE_LIMIT = 4096
 
+#: The pair set of cache values that no source delta can reach (shared, so
+#: such values allocate nothing for it).
+_NO_PAIRS: frozenset = frozenset()
+
+
 def _shadowed_names(tag: str) -> frozenset[str]:
     """The relation names the register overlay shadows for ``tag``-nodes."""
     return frozenset({GENERIC_REGISTER_NAME, register_relation_name(tag)})
@@ -128,6 +133,119 @@ _PAIR_CLEAN = _PairDelta("clean")
 _PAIR_RECOMPUTE = _PairDelta("recompute")
 
 
+class _LineageCache:
+    """One configuration cache of a version, split by what a delta can reach.
+
+    The plan keeps three per version: expansions (keyed by triple), subtree
+    entries (keyed by triple) and rendered spans (keyed by ``(indent,
+    triple, level)``).  A value's *pairs* are the source-reading ``(state,
+    tag)`` pairs -- rules that name a source relation, or that range over
+    the active domain -- among the configurations it was built from.
+
+    * ``stable`` holds values with no such pair.  They are functions of the
+      configuration alone, valid in every version of the lineage, so the
+      dict is shared by reference from parent to child and never copied.
+    * ``versioned`` holds the rest; ``index`` maps each pair set to the
+      ``versioned`` keys whose value covers exactly those pairs (views have
+      a handful of distinct pair sets, so this is the pair -> keys index
+      with each key filed once).
+
+    A migration therefore costs a C-level copy of ``versioned`` plus one pop
+    per key filed under a pair set that meets the invalidated pairs
+    (:meth:`fork`).
+    """
+
+    __slots__ = ("stable", "versioned", "index")
+
+    def __init__(self, stable=None, versioned=None, index=None) -> None:
+        self.stable: dict = {} if stable is None else stable
+        self.versioned: dict = {} if versioned is None else versioned
+        self.index: dict[frozenset, set] = {} if index is None else index
+
+    def get(self, key):
+        """The value cached for ``key`` in either part, or ``None``."""
+        found = self.stable.get(key)
+        return self.versioned.get(key) if found is None else found
+
+    def put(self, key, value, pairs: frozenset) -> None:
+        """Store ``value``; ``pairs`` decides the part and the index keys."""
+        if not pairs:
+            self.stable[key] = value
+            return
+        keys = self.index.get(pairs)
+        if keys is None:
+            keys = self.index.setdefault(pairs, set())
+        keys.add(key)
+        # Indexed before visible: a fork copies ``versioned`` before the
+        # index, so a concurrent put never leaves it an unindexed key.
+        self.versioned[key] = value
+
+    def fork(self, invalid_pairs: frozenset) -> tuple["_LineageCache", dict]:
+        """The child version's cache, and the values it must not trust.
+
+        Memo writes are lock-free, so a concurrent publish of the parent
+        may grow these containers: only C-level snapshots are iterated, and
+        ``versioned`` is copied before the index is read.
+        """
+        versioned = self.versioned.copy()
+        index = {}
+        doomed: set = set()
+        for pairs, keys in list(self.index.items()):
+            if pairs.isdisjoint(invalid_pairs):
+                index[pairs] = keys.copy()
+            else:
+                doomed |= keys
+        if not doomed:
+            return _LineageCache(self.stable, versioned, index), {}
+        if len(doomed) >= len(versioned):
+            # Every versioned value covers an invalidated pair (typically a
+            # recursive rule reading the changed relation): hand it over.
+            # The index holds only keys of ``versioned``, except a key a
+            # racing put indexed but had not stored at the copy; parking a
+            # valid value as prior or suspect is safe, it confirms clean.
+            popped, versioned = versioned, {}
+        else:
+            popped = {}
+            for key in doomed:
+                value = versioned.pop(key, None)
+                if value is not None:
+                    popped[key] = value
+        return _LineageCache(self.stable, versioned, index), popped
+
+
+def _fold_pairs(frame, pairs: frozenset, sensitive, owned: bool) -> None:
+    """Fold a child's pairs and source-reading configurations into ``frame``.
+
+    Carried up the frame stack like ``triples`` -- small-to-large when the
+    child's set is ``owned`` and may be donated -- so no cache entry ever
+    rescans its triples to learn which rules it depends on.  Callers pass
+    non-empty ``pairs`` only; ``frame.sensitive`` is ``None`` while
+    ``frame.pairs`` is empty.
+    """
+    if not frame.pairs:
+        frame.pairs = pairs  # shared: pair sets are immutable
+    elif not pairs <= frame.pairs:
+        frame.pairs = frame.pairs | pairs
+    mine = frame.sensitive
+    if mine is None:
+        frame.sensitive = sensitive if owned else set(sensitive)
+    elif owned and len(mine) < len(sensitive):
+        sensitive |= mine
+        frame.sensitive = sensitive
+    else:
+        mine.update(sensitive)
+
+
+def _frozen_sensitive(sensitive: set, triples: frozenset):
+    """An entry's source-reading configurations, as stored on the entry.
+
+    A tuple (only ever iterated), or the entry's own ``triples`` when every
+    configuration reads the source -- deep recursive views, where a copy per
+    entry would double the per-entry bookkeeping.
+    """
+    return triples if len(sensitive) == len(triples) else tuple(sensitive)
+
+
 @dataclass(frozen=True)
 class CacheStats:
     """A snapshot of the plan's expansion-cache counters.
@@ -154,6 +272,12 @@ class CacheStats:
         (:meth:`PublishingPlan.publish_bytes`).
     rendered_misses:
         Subtree spans the bytes path had to render from the expansions.
+    migrations:
+        Child versions whose state was migrated from their parent's.
+    cold_starts:
+        Child versions (built by ``apply_delta``) that started cold because
+        their parent's state was missing: evicted, never published here,
+        collected, or on a different encoder.
     """
 
     hits: int = 0
@@ -164,6 +288,8 @@ class CacheStats:
     retained: int = 0
     rendered_hits: int = 0
     rendered_misses: int = 0
+    migrations: int = 0
+    cold_starts: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -183,6 +309,8 @@ class CacheStats:
             "retained": self.retained,
             "rendered_hits": self.rendered_hits,
             "rendered_misses": self.rendered_misses,
+            "migrations": self.migrations,
+            "cold_starts": self.cold_starts,
             "hit_rate": self.hit_rate,
         }
 
@@ -238,22 +366,29 @@ class _SubtreeEntry:
     element node, or the spliced children for a virtual tag); ``triples`` is
     every configuration occurring in the subtree, used both for
     stop-condition safety (the subtree may only be reused on a path disjoint
-    from it) and for invalidation after a source delta; ``weight`` is the
-    node-budget cost the subtree's traversal would have charged; ``saved``
-    is the number of expansions a reuse answers at once.
+    from it); ``pairs`` is the set of source-reading ``(state, tag)`` pairs
+    among them and ``sensitive`` the configurations in those pairs (see
+    :func:`_frozen_sensitive`), which is all that invalidation and
+    confirmation after a source delta look at;
+    ``weight`` is the node-budget cost the subtree's traversal would have
+    charged; ``saved`` is the number of expansions a reuse answers at once.
     """
 
-    __slots__ = ("nodes", "triples", "weight", "saved")
+    __slots__ = ("nodes", "triples", "pairs", "sensitive", "weight", "saved")
 
     def __init__(
         self,
         nodes: tuple[TreeNode, ...],
         triples: frozenset[Triple],
+        pairs: frozenset[tuple[str, str]],
+        sensitive: tuple[Triple, ...] | frozenset[Triple],
         weight: int,
         saved: int,
     ) -> None:
         self.nodes = nodes
         self.triples = triples
+        self.pairs = pairs
+        self.sensitive = sensitive
         self.weight = weight
         self.saved = saved
 
@@ -261,31 +396,38 @@ class _SubtreeEntry:
 class _InstanceState:
     """Everything the plan caches for one source instance.
 
-    ``subtrees`` holds :class:`_SubtreeEntry` values known to be valid for
-    this instance; after a migration from the parent version's state,
-    entries touching an invalidated ``(state, tag)`` pair are parked in
-    ``suspects`` and confirmed lazily against ``prior_expansions`` (the
-    expansions the previous version memoised for the invalidated pairs): a
-    suspect whose configurations all re-expand identically is promoted back,
-    anything else is dropped.  Suspects live for one migration generation
-    only -- the next migration discards whatever was never confirmed.
+    ``expansions``, ``subtrees`` (:class:`_SubtreeEntry` values) and
+    ``renders`` (the bytes path's rendered spans, see
+    :mod:`repro.engine.emit`, keyed by ``(indent, triple, level)``) are
+    :class:`_LineageCache` s.  Values built only from rules that read no
+    source relation sit in their ``stable`` part, which every version of
+    the lineage shares; the rest are versioned and indexed by the
+    source-reading pairs they cover.
 
-    ``renders`` / ``render_suspects`` are the bytes-path analogue (see
-    :mod:`repro.engine.emit`): pre-rendered byte spans keyed by
-    ``(indent, triple, level)``, migrated and lazily confirmed exactly like
-    subtrees.  ``text_fragments`` memoises escaped character data per row
-    register (the encoded pipeline interns fragments on the shared encoder
-    instead, so they survive version migrations for free); it carries over
-    across migrations unconditionally because a text node's rendering is a
+    A migration from the parent version's state (:meth:`PublishingPlan.
+    _migrated_state`) moves the versioned expansions of invalidated pairs
+    to ``prior_expansions`` and the entries covering them to ``suspects`` /
+    ``render_suspects``.  Suspects are confirmed lazily: a suspect whose
+    configurations in invalidated pairs all re-expand exactly as the
+    previous version memoised them is promoted back, anything else is
+    dropped.  Suspects live for one migration generation only -- the next
+    migration discards whatever was never confirmed.  The cost model: the
+    stable parts are shared by reference, the versioned parts are copied
+    in C, and Python-level work is one pop per value in an invalidated
+    pair -- proportional to what the delta can reach, not to the cache.
+
+    ``text_fragments`` memoises escaped character data per row register
+    (the encoded pipeline interns fragments on the shared encoder instead,
+    so they survive version migrations for free); it carries over across
+    migrations unconditionally because a text node's rendering is a
     function of its register alone, never of the source instance.
-    ``invalidated`` / ``retained`` count what that migration dropped and
-    kept (both zero on a cold start).
+    ``invalidated`` / ``retained`` count the expansions that migration
+    dropped and kept (both zero on a cold start).
     """
 
     __slots__ = (
         "instance",
         "encoder",
-        "active_domain",
         "ext_schemas",
         "expansions",
         "subtrees",
@@ -312,13 +454,11 @@ class _InstanceState:
         # encoder is append-only and shared along the version lineage), so
         # encoded memo entries survive the migration to a child version.
         self.encoder = instance._encoding
-        self.active_domain = instance.active_domain()
         self.ext_schemas: dict[tuple[str, int], RelationalSchema] = {}
-        self.expansions: dict[Triple, tuple[Triple, ...]] = {}
-        self.subtrees: dict[Triple, _SubtreeEntry] = {}
+        self.expansions = _LineageCache()
+        self.subtrees = _LineageCache()
         self.suspects: dict[Triple, _SubtreeEntry] = {}
-        # Keyed (indent, triple, level) -> repro.engine.emit._RenderEntry.
-        self.renders: dict[tuple, object] = {}
+        self.renders = _LineageCache()
         self.render_suspects: dict[tuple, object] = {}
         self.text_fragments: dict[RegisterContent, str] = {}
         self.prior_expansions: dict[Triple, tuple[Triple, ...]] = {}
@@ -339,7 +479,9 @@ class _Frame:
     ``triples`` accumulates the configurations of the subtree while it is
     still shareable; it flips to ``None`` -- poisoning every ancestor -- when
     a stop-condition hit makes the subtree path-dependent or the set
-    outgrows :data:`_SUBTREE_TRIPLE_LIMIT`.  ``weight`` and ``opened`` feed
+    outgrows :data:`_SUBTREE_TRIPLE_LIMIT`.  ``pairs`` / ``sensitive`` are
+    the source-reading subset of it (see :func:`_fold_pairs`), which tree
+    mode fills in for its subtree entries.  ``weight`` and ``opened`` feed
     the cached entry's budget charge and hit accounting.
     """
 
@@ -351,6 +493,8 @@ class _Frame:
         "text",
         "stopped",
         "triples",
+        "pairs",
+        "sensitive",
         "weight",
         "opened",
     )
@@ -369,6 +513,8 @@ class _Frame:
         self.text = text
         self.stopped = stopped
         self.triples: set[Triple] | None = None if stopped else {triple}
+        self.pairs = _NO_PAIRS
+        self.sensitive: set[Triple] | None = None
         self.weight = len(expansion)
         self.opened = 1
 
@@ -453,15 +599,32 @@ class PublishingPlan:
         # shadows for this rule's tag are excluded -- a source relation that
         # happens to be called ``Reg_<other>`` is still a source dependency.
         self._pair_sources: dict[tuple[str, str], frozenset[str]] = {}
+        # Pairs with an unplanned rule query: it is evaluated over the
+        # active domain, which any delta may change, so it reads every
+        # relation whether it names it or not.
+        self._domain_pairs: set[tuple[str, str]] = set()
         for rule_ in transducer.rules:
-            self._dispatch_table[(rule_.state, rule_.tag)] = tuple(
+            pair = (rule_.state, rule_.tag)
+            items = tuple(
                 _CompiledItem(item.state, item.tag, item.query) for item in rule_.items
             )
+            self._dispatch_table[pair] = items
             shadowed = _shadowed_names(rule_.tag)
             sources: set[str] = set()
             for item in rule_.items:
                 sources.update(item.query.query.relation_names() - shadowed)
-            self._pair_sources[(rule_.state, rule_.tag)] = frozenset(sources)
+            self._pair_sources[pair] = frozenset(sources)
+            if any(item.plan is None for item in items):
+                self._domain_pairs.add(pair)
+        # The pair set a configuration of each source-reading pair brings
+        # into the cache values built from it, keyed tag -> state so the
+        # per-node lookup is one string probe for the tags of no such pair.
+        self._pair_sets: dict[str, dict[str, frozenset[tuple[str, str]]]] = {}
+        for (state_q, tag), sources in self._pair_sources.items():
+            if sources or (state_q, tag) in self._domain_pairs:
+                self._pair_sets.setdefault(tag, {})[state_q] = frozenset(
+                    {(state_q, tag)}
+                )
         # Per-instance caches in LRU order (the batch-first working set).
         # The lock guards the LRU structure and the counters below so
         # concurrent publish() calls (ViewServer with a pool, threaded
@@ -479,6 +642,8 @@ class PublishingPlan:
         self._retained = 0
         self._render_hits = 0
         self._render_misses = 0
+        self._migrations = 0
+        self._cold_starts = 0
         # Byte-template tables of the bytes-native publish path, one per
         # indent mode (repro.engine.emit._Templates); tag sets are
         # per-transducer, so per-plan caching is exactly right.
@@ -508,6 +673,8 @@ class PublishingPlan:
             "_retained",
             "_render_hits",
             "_render_misses",
+            "_migrations",
+            "_cold_starts",
         ):
             state[counter] = 0
         return state
@@ -542,12 +709,20 @@ class PublishingPlan:
                 self._retained,
                 self._render_hits,
                 self._render_misses,
+                self._migrations,
+                self._cold_starts,
             )
 
     def clear_cache(self) -> None:
         """Drop all per-instance caches (counters are preserved)."""
         with self._lock:
             self._states.clear()
+
+    def _pairs_of(self, state: str, tag: str) -> frozenset[tuple[str, str]]:
+        """The source-reading pairs a ``(state, tag, ...)`` node brings into
+        the cache values built from it: its own pair, or none."""
+        by_state = self._pair_sets.get(tag)
+        return by_state.get(state, _NO_PAIRS) if by_state else _NO_PAIRS
 
     def rule_plans(self):
         """Yield ``(state, tag, item_index, QueryPlan | None)`` per rule item.
@@ -691,65 +866,59 @@ class PublishingPlan:
         lazily -- cheaply through the per-occurrence delta plans when
         possible (:meth:`_delta_preserves`), by recompute-and-compare
         otherwise -- so unaffected memo entries and subtrees survive.
-        Everything else is retained outright.  Subtree entries touching an
-        invalidated pair become suspects pending that confirmation.
+        Everything else is retained outright.  Subtree and rendered-span
+        entries covering an invalidated pair become suspects pending that
+        confirmation.
+
+        Cost: each :class:`_LineageCache` shares its stable part, copies
+        its versioned part in C and pops only the keys indexed under the
+        invalidated pairs, so the Python-level work is proportional to the
+        entries the delta can reach, not to the size of the cache.
         """
-        with self._lock:
-            # Memo writes are lock-free, so a concurrent publish of the
-            # parent may grow these dicts: iterate snapshots, never the
-            # live dicts.
-            expansions = prev_state.expansions.copy()
-            subtrees = prev_state.subtrees.copy()
-            renders = prev_state.renders.copy()
-        changed = delta.touched_relations()
-        invalid_pairs = frozenset(
-            pair
-            for pair, sources in self._pair_sources.items()
-            if sources & changed
-        )
+        invalid_pairs = self._invalidated_pairs(delta)
         state = _InstanceState(new_instance)
         state.prior_instance = prev_state.instance
         state.delta = delta
         # The schema is unchanged by a delta, so the overlay schemas carry
         # over; sharing the dict lets both versions warm it further.
         state.ext_schemas = prev_state.ext_schemas
-        retained: dict[Triple, tuple[Triple, ...]] = {}
-        prior: dict[Triple, tuple[Triple, ...]] = {}
-        for triple, expansion in expansions.items():
-            if (triple[0], triple[1]) in invalid_pairs:
-                prior[triple] = expansion
-            else:
-                retained[triple] = expansion
-        state.expansions = retained
+        with self._lock:
+            state.expansions, prior = prev_state.expansions.fork(invalid_pairs)
+            state.subtrees, state.suspects = prev_state.subtrees.fork(invalid_pairs)
+            state.renders, state.render_suspects = prev_state.renders.fork(
+                invalid_pairs
+            )
         state.prior_expansions = prior
         state.invalid_pairs = invalid_pairs
-        for triple, entry in subtrees.items():
-            if any((t[0], t[1]) in invalid_pairs for t in entry.triples):
-                state.suspects[triple] = entry
-            else:
-                state.subtrees[triple] = entry
-        for key, rentry in renders.items():
-            if any((t[0], t[1]) in invalid_pairs for t in rentry.triples):
-                state.render_suspects[key] = rentry
-            else:
-                state.renders[key] = rentry
         # Text rendering is a function of the register alone; fragments
         # survive every delta.  (Encoded lineages intern on the encoder.)
         state.text_fragments = prev_state.text_fragments
         state.invalidated = len(prior)
-        state.retained = len(retained)
+        state.retained = len(state.expansions.stable) + len(
+            state.expansions.versioned
+        )
         return state
 
-    def _confirm_triples(
-        self, state: _InstanceState, triples: frozenset[Triple]
-    ) -> bool:
+    def _invalidated_pairs(self, delta: Delta) -> frozenset[tuple[str, str]]:
+        """The ``(state, tag)`` pairs whose expansions ``delta`` may change:
+        those reading a changed relation, and those reading the domain."""
+        changed = delta.touched_relations()
+        return frozenset(
+            pair
+            for pair, sources in self._pair_sources.items()
+            if sources & changed or pair in self._domain_pairs
+        )
+
+    def _confirm(self, state: _InstanceState, entry) -> bool:
         """Confirm a migrated cache entry: every configuration of the entry
         belonging to an invalidated ``(state, tag)`` pair must re-expand --
         memoised, so the work is shared across entries -- exactly as the
-        previous version memoised it."""
+        previous version memoised it (a configuration the previous version
+        never memoised fails).  Only the entry's source-reading
+        configurations are visited, never its whole triple set."""
         prior = state.prior_expansions
         invalid_pairs = state.invalid_pairs
-        for t in triples:
+        for t in entry.sensitive:
             if (t[0], t[1]) in invalid_pairs:
                 if self._expansion(state, t) != prior.get(t):
                     return False
@@ -760,21 +929,25 @@ class PublishingPlan:
     ) -> _SubtreeEntry | None:
         """A reusable cached subtree for ``triple``, or ``None``.
 
-        Suspects (entries parked by a migration) are confirmed here: every
-        configuration of the subtree belonging to an invalidated pair is
-        re-expanded -- memoised, so the work is shared across entries -- and
-        must match what the previous version memoised.  Reuse additionally
-        requires the current root-to-node path to be disjoint from the
-        subtree's configurations, which keeps the stop condition exact.
+        Suspects (entries parked by a migration) are confirmed here
+        (:meth:`_confirm`) and promoted back into the cache.  Reuse
+        additionally requires the current root-to-node path to be disjoint
+        from the subtree's configurations, which keeps the stop condition
+        exact.
         """
-        entry = state.subtrees.get(triple)
+        cache = state.subtrees
+        entry = cache.stable.get(triple)
+        if entry is None and cache.versioned:
+            entry = cache.versioned.get(triple)
         if entry is None:
+            if not state.suspects:
+                return None
             entry = state.suspects.pop(triple, None)
             if entry is None:
                 return None
-            if not self._confirm_triples(state, entry.triples):
+            if not self._confirm(state, entry):
                 return None
-            state.subtrees[triple] = entry
+            cache.put(triple, entry, entry.pairs)
         if not cursor.path_disjoint(entry.triples):
             return None
         return entry
@@ -894,10 +1067,8 @@ class PublishingPlan:
             plan = item.plan
             if plan is None:
                 # Unplanned (naive-evaluated) query: no cheap check exists,
-                # but it only matters when the delta actually touches it.
-                if (item.relations - shadowed) & changed:
-                    return _PAIR_RECOMPUTE
-                continue
+                # and its active domain may have changed with any delta.
+                return _PAIR_RECOMPUTE
             machinery = plan._delta_plan()
             # Scans of the shadowed names read the register, never the
             # source, so a source delta on them cannot affect this rule.
@@ -1004,7 +1175,8 @@ class PublishingPlan:
         inherits it through :meth:`_migrated_state`, so every publish of a
         child version is an incremental republish.  Otherwise (no lineage,
         parent collected or evicted, representation changed by a late
-        ``ensure_encoded``) the state starts cold.
+        ``ensure_encoded``) the state starts cold; a child version starting
+        cold is counted in ``cache_stats.cold_starts``.
         """
         prev_state = None
         with self._lock:
@@ -1022,7 +1194,8 @@ class PublishingPlan:
                 parent = parent_ref()
                 if parent is not None:
                     prev_state = self._states.get(parent)
-        if prev_state is not None and prev_state.encoder is instance._encoding:
+        migrated = prev_state is not None and prev_state.encoder is instance._encoding
+        if migrated:
             state = self._migrated_state(
                 prev_state, instance, delta.normalized(parent)
             )
@@ -1039,6 +1212,10 @@ class PublishingPlan:
                 return existing
             self._states[instance] = state
             self._instances_seen += 1
+            if migrated:
+                self._migrations += 1
+            elif instance._lineage is not None:
+                self._cold_starts += 1
             self._invalidated += state.invalidated
             self._retained += state.retained
             while len(self._states) > self._cache_instances:
@@ -1064,23 +1241,28 @@ class PublishingPlan:
         and register) makes this a pure function of ``(triple, instance)``;
         the stop condition is applied by the callers per root-to-node path.
         """
-        found = state.expansions.get(triple)
+        q, tag, register = triple
+        # The part is known from the pair alone: one probe, never two.
+        by_state = self._pair_sets.get(tag)
+        pairs = by_state.get(q) if by_state else None
+        cache = state.expansions
+        memo = cache.versioned if pairs else cache.stable
+        found = memo.get(triple)
         if found is not None:
             with self._lock:
                 self._hits += 1
             return found
-        prior = state.prior_expansions.get(triple)
+        prior = state.prior_expansions.get(triple) if pairs else None
         if prior is not None and self._delta_preserves(state, triple):
             # Semi-naive adoption: the delta provably leaves this rule's
             # answers unchanged, so the previous version's expansion is
             # promoted without evaluating any full rule query.
-            state.expansions[triple] = prior
+            cache.put(triple, prior, pairs)
             with self._lock:
                 self._hits += 1
             return prior
         with self._lock:
             self._misses += 1
-        q, tag, register = triple
         items = self._dispatch(q, tag)
         if not items or tag == TEXT_TAG:
             result: tuple[Triple, ...] = ()
@@ -1110,7 +1292,10 @@ class PublishingPlan:
                 for key in sorted(groups, key=tuple_order_key):
                     children.append((item.state, item.tag, frozenset(groups[key])))
             result = tuple(children)
-        state.expansions[triple] = result
+        if pairs:
+            cache.put(triple, result, pairs)
+        else:
+            memo[triple] = result
         return result
 
     def _expand_encoded(
@@ -1193,7 +1378,9 @@ class PublishingPlan:
             state.ext_schemas[key] = schema
         if base is None:
             base = state.instance
-            domain = state.active_domain
+            # Read on first use only (and cached on the instance): the
+            # encoded pipeline never builds an overlay, so never pays for it.
+            domain = base.active_domain()
             if register:
                 domain = domain | {value for row in register for value in row}
         else:
@@ -1235,6 +1422,19 @@ class PublishingPlan:
         virtual = self._virtual
         cursor = self._cursor(state, budget)
         limit = _SUBTREE_TRIPLE_LIMIT
+        pair_sets = self._pair_sets
+        subtrees = state.subtrees
+
+        def open_frame(triple: Triple) -> _Frame:
+            frame = cursor.open(triple)
+            by_state = pair_sets.get(triple[1])
+            if by_state and not frame.stopped:
+                pairs = by_state.get(triple[0])
+                if pairs:
+                    frame.pairs = pairs
+                    frame.sensitive = {triple}
+            return frame
+
         root_triple = self._root_triple()
         if self._root_tag not in virtual:
             entry = self._subtree_entry(state, cursor, root_triple)
@@ -1244,7 +1444,7 @@ class PublishingPlan:
                     self._hits += entry.saved
                 return entry.nodes[0]
         result: TreeNode | None = None
-        frames = [cursor.open(root_triple)]
+        frames = [open_frame(root_triple)]
         while frames:
             frame = frames[-1]
             if frame.index < len(frame.expansion):
@@ -1260,10 +1460,12 @@ class PublishingPlan:
                     frame.opened += entry.saved
                     if frame.triples is not None:
                         frame.triples |= entry.triples
+                        if entry.pairs:
+                            _fold_pairs(frame, entry.pairs, entry.sensitive, False)
                         if len(frame.triples) > limit:
                             frame.triples = None
                     continue
-                frames.append(cursor.open(child))
+                frames.append(open_frame(child))
                 continue
             frames.pop()
             cursor.close(frame)
@@ -1273,9 +1475,20 @@ class PublishingPlan:
             else:
                 nodes = (TreeNode(tag, tuple(frame.built), frame.text),)
             if frame.triples is not None and not frame.stopped:
-                state.subtrees[frame.triple] = _SubtreeEntry(
-                    nodes, frozenset(frame.triples), frame.weight, frame.opened
+                sensitive = frame.sensitive
+                frozen = frozenset(frame.triples)
+                entry = _SubtreeEntry(
+                    nodes,
+                    frozen,
+                    frame.pairs,
+                    _frozen_sensitive(sensitive, frozen) if sensitive else (),
+                    frame.weight,
+                    frame.opened,
                 )
+                if sensitive:
+                    subtrees.put(frame.triple, entry, frame.pairs)
+                else:
+                    subtrees.stable[frame.triple] = entry
             if frames:
                 parent = frames[-1]
                 if tag in virtual:
@@ -1294,6 +1507,8 @@ class PublishingPlan:
                         parent.triples = frame.triples
                     else:
                         parent.triples |= frame.triples
+                    if frame.pairs:
+                        _fold_pairs(parent, frame.pairs, frame.sensitive, True)
                     if len(parent.triples) > limit:
                         parent.triples = None
             elif tag in virtual:

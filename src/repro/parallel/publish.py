@@ -25,7 +25,7 @@ publish or republish of the same version is cache-hot.
 
 from __future__ import annotations
 
-from repro.engine.emit import _RenderEntry, _confirmed_entry
+from repro.engine.emit import _EmitFrame, _RenderEntry, _confirmed_entry
 from repro.parallel.pool import (
     NotShippable,
     PoolBroken,
@@ -158,14 +158,18 @@ def parallel_publish_bytes(
                 # next (serial or incremental) publish of this version is
                 # warm.  Mirrors the serial driver's cacheability rules.
                 if result.triples is not None:
-                    state.renders[(indent, children[position], child_level)] = (
+                    state.renders.put(
+                        (indent, children[position], child_level),
                         _RenderEntry(
                             (result.span,),
                             result.texts,
                             result.triples,
+                            result.pairs,
+                            result.sensitive,
                             result.weight,
                             result.opened,
-                        )
+                        ),
+                        result.pairs,
                     )
                     merged += 1
         pool.note_merges(merged)
@@ -187,7 +191,7 @@ def parallel_publish_bytes(
                 found = fragments[register] = escape(relation_to_text(register))
             return found
 
-    from repro.engine.plan import _SUBTREE_TRIPLE_LIMIT
+    from repro.engine.plan import _SUBTREE_TRIPLE_LIMIT, _fold_pairs, _frozen_sensitive
 
     tag = root_triple[1]
     pad0 = "\n" if pretty else ""
@@ -197,6 +201,10 @@ def parallel_publish_bytes(
     out: list[str] = [""]  # the root placeholder, patched below
     texts: list | None = []
     triples: set | None = {root_triple}
+    # The root's source-reading pairs, folded like a serial frame's.
+    root = _EmitFrame()
+    root.pairs = plan._pairs_of(root_triple[0], tag)
+    root.sensitive = {root_triple} if root.pairs else None
     weight = len(expansion)
     opened = 1
     with plan._lock:
@@ -241,6 +249,8 @@ def parallel_publish_bytes(
                 triples = None
             else:
                 triples |= result.triples
+                if result.pairs:
+                    _fold_pairs(root, result.pairs, result.sensitive, False)
                 if len(triples) > _SUBTREE_TRIPLE_LIMIT:
                     triples = None
 
@@ -260,7 +270,17 @@ def parallel_publish_bytes(
     if pretty:
         document = document[1:]
     if triples is not None and len(out) <= _RENDER_SPAN_LIMIT:
-        entry = _RenderEntry(tuple(out), None, frozenset(triples), weight, opened)
+        sensitive = root.sensitive
+        frozen = frozenset(triples)
+        entry = _RenderEntry(
+            tuple(out),
+            None,
+            frozen,
+            root.pairs,
+            _frozen_sensitive(sensitive, frozen) if sensitive else (),
+            weight,
+            opened,
+        )
         entry.document = document
-        state.renders[root_key] = entry
+        state.renders.put(root_key, entry, entry.pairs)
     return document

@@ -131,7 +131,9 @@ class ServerStats:
                 f"backend={view.last_backend or 'none yet'}, "
                 f"memo hit rate {cache.get('hit_rate', 0.0):.1%} "
                 f"({cache.get('invalidated', 0)} invalidated / "
-                f"{cache.get('retained', 0)} retained across versions, "
+                f"{cache.get('retained', 0)} retained across "
+                f"{cache.get('migrations', 0)} migration(s), "
+                f"{cache.get('cold_starts', 0)} cold start(s), "
                 f"rendered spans {cache.get('rendered_hits', 0)} reused / "
                 f"{cache.get('rendered_misses', 0)} rendered)"
             )
@@ -160,20 +162,12 @@ class ServerStats:
 
 def collect_stats(server: "ViewServer") -> ServerStats:
     """Aggregate every observability counter of ``server`` into one value."""
+    from repro.engine.plan import CacheStats
     from repro.relational.columnar import cached_columnar
 
     views = []
     for view in server.views:
-        cache = {
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-            "instances": 0,
-            "invalidated": 0,
-            "retained": 0,
-            "rendered_hits": 0,
-            "rendered_misses": 0,
-        }
+        cache = CacheStats().as_dict()
         for plan in view.plans:
             for key, value in plan.cache_stats.as_dict().items():
                 if key != "hit_rate":
@@ -459,7 +453,9 @@ def explain_view(
         )
     cache = plan.cache_stats.as_dict()
     maintenance = (
-        f"migration: {cache.get('invalidated', 0)} invalidated / "
+        f"migration: {cache.get('migrations', 0)} migrated / "
+        f"{cache.get('cold_starts', 0)} cold-started child version(s), "
+        f"{cache.get('invalidated', 0)} invalidated / "
         f"{cache.get('retained', 0)} retained; rules: {semi_naive} semi-naive, "
         f"{recompute} recompute-fallback, {unplanned} unplanned"
     )

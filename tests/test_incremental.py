@@ -574,6 +574,31 @@ class TestRepublish:
         _assert_matches_oracle(tau, result, previous)
         assert not result.tree.find_all("item")
 
+    def test_rule_over_the_active_domain_is_invalidated(self):
+        # The inner rule names no source relation, but its unsafe query
+        # ranges over the active domain, which a delta on R grows.
+        from repro.engine import TransducerBuilder
+        from repro.relational.schema import RelationSchema, RelationalSchema
+
+        x, y = Variable("x"), Variable("y")
+        schema = RelationalSchema([RelationSchema("E", 2), RelationSchema("R", 1)])
+        base = Instance(schema, {"E": [("a", "b")], "R": [("c",)]})
+        builder = TransducerBuilder("domain")
+        builder.start().emit(
+            "q", "a", ConjunctiveQuery((x,), (RelationAtom("E", (x, y)),))
+        )
+        builder.state("q").on("a").emit(
+            "q", "b", FormulaQuery((x,), Not(Rel("Reg_a", (x,))))
+        )
+        tau = builder.build()
+        plan = compile_plan(tau)
+        plan.publish_bytes(base)
+        child = base.apply_delta(Delta.insert("R", ("d",)))
+        document = plan.publish_bytes(child)
+        assert plan.cache_stats.migrations == 1
+        assert document == compile_plan(tau).publish_bytes(child)
+        assert document.count("<b/>") == 3
+
     def test_cache_stats_typed_dataclass_and_as_dict(self, tau1, registrar_instance):
         from repro.engine import CacheStats
 
@@ -789,7 +814,8 @@ class TestLineage:
         plan.publish_bytes(generate_registrar_instance(8, seed=1))  # evicts parent
         child = parent.apply_delta(self.DELTA)
         assert plan.publish_bytes(child) == compile_plan(tau1).publish_bytes(child)
-        assert plan.cache_stats.retained == 0
+        stats = plan.cache_stats
+        assert (stats.retained, stats.migrations, stats.cold_starts) == (0, 0, 1)
 
     def test_concurrent_parent_and_child_publishes_agree(self, tau1):
         parent = generate_registrar_instance(60, max_prereqs=2, seed=5)
@@ -841,3 +867,207 @@ class TestLineage:
             assert not thread.is_alive()
         assert errors == []
         assert produced == expected
+
+
+# ---------------------------------------------------------------------------
+# Migration cost: the pair-indexed partition, its index and its counters.
+# ---------------------------------------------------------------------------
+
+
+def _reference_partition(plan, prev_state, delta) -> dict:
+    """The partition a full scan of the parent's caches yields: every
+    configuration of every entry tested against the invalidated pairs."""
+    invalid = plan._invalidated_pairs(delta)
+
+    def split(cache, covers) -> tuple[dict, dict]:
+        kept, parked = {}, {}
+        for key, value in {**cache.stable, **cache.versioned}.items():
+            (parked if covers(key, value) else kept)[key] = value
+        return kept, parked
+
+    def entry_covers(key, entry) -> bool:
+        return any((t[0], t[1]) in invalid for t in entry.triples)
+
+    retained, prior = split(
+        prev_state.expansions, lambda triple, _: (triple[0], triple[1]) in invalid
+    )
+    subtrees, suspects = split(prev_state.subtrees, entry_covers)
+    renders, render_suspects = split(prev_state.renders, entry_covers)
+    return {
+        "retained": retained,
+        "prior": prior,
+        "subtrees": subtrees,
+        "suspects": suspects,
+        "renders": renders,
+        "render_suspects": render_suspects,
+    }
+
+
+def _partition(state) -> dict:
+    def merged(cache) -> dict:
+        return {**cache.stable, **cache.versioned}
+
+    return {
+        "retained": merged(state.expansions),
+        "prior": dict(state.prior_expansions),
+        "subtrees": merged(state.subtrees),
+        "suspects": dict(state.suspects),
+        "renders": merged(state.renders),
+        "render_suspects": dict(state.render_suspects),
+    }
+
+
+def _assert_index_exact(plan, state) -> None:
+    """Every versioned value is filed once, under exactly the pairs it
+    covers, the stable parts hold only values no source delta can reach,
+    and each entry's carried ``sensitive`` set is exactly its
+    source-reading configurations."""
+    for name in ("expansions", "subtrees", "renders"):
+        cache = getattr(state, name)
+        expected: dict = {}
+        for key, value in cache.versioned.items():
+            pairs = (
+                frozenset({(key[0], key[1])}) if name == "expansions" else value.pairs
+            )
+            assert pairs, (name, key)
+            expected.setdefault(pairs, set()).add(key)
+        assert {p: keys for p, keys in cache.index.items() if keys} == expected, name
+        if name == "expansions":
+            assert not any(plan._pairs_of(t[0], t[1]) for t in cache.stable)
+            continue
+        for entry in [*cache.stable.values(), *cache.versioned.values()]:
+            sensitive = {t for t in entry.triples if plan._pairs_of(t[0], t[1])}
+            assert sorted(entry.sensitive, key=repr) == sorted(sensitive, key=repr)
+            assert entry.pairs == {(t[0], t[1]) for t in sensitive}
+
+
+class TestPairIndexedMigration:
+    @pytest.mark.parametrize("encoded", [False, True], ids=["row", "columnar"])
+    def test_partition_matches_a_full_scan(self, encoded, monkeypatch):
+        # Random commit chains through the serving layer: a tau3
+        # subscription (tree publishes), tau1 bytes publishes at both
+        # indents, publishes of older versions on a 3-state LRU (which
+        # evict parents, so some children start cold), and prunes.
+        from repro.engine.plan import PublishingPlan
+        from repro.serve import ViewServer
+
+        original = PublishingPlan._migrated_state
+        compared = []
+
+        def checked(self, prev_state, new_instance, delta):
+            reference = _reference_partition(self, prev_state, delta)
+            state = original(self, prev_state, new_instance, delta)
+            assert _partition(state) == reference
+            _assert_index_exact(self, state)
+            compared.append(bool(reference["suspects"] or reference["render_suspects"]))
+            return state
+
+        monkeypatch.setattr(PublishingPlan, "_migrated_state", checked)
+        views = {
+            "tau1": tau1_prerequisite_hierarchy,
+            "tau3": tau3_courses_without_db_prereq,
+        }
+        server = ViewServer(cache_instances=3)
+        for name, factory in views.items():
+            server.register_view(name, factory())
+        handle = server.attach(
+            generate_registrar_instance(25, max_prereqs=2, seed=6), encoded=encoded
+        )
+        subscription = server.subscribe("tau3")
+        rng = random.Random(23)
+        for step in range(40):
+            handle.commit(_random_registrar_delta(rng, handle.instance))
+            for indent in (2, None):
+                server.publish("tau1", output="bytes", indent=indent)
+            if step % 3 == 2:
+                old = rng.choice(handle.history()).index
+                server.publish("tau1", version=old, output="bytes")
+                server.publish("tau1", version=old)
+                server.publish("tau3", version=old)
+            if step % 7 == 6:
+                handle.prune(keep_last=3)
+        row = handle.instance.without_encoding()
+        for name, factory in views.items():
+            assert server.publish(name, output="bytes") == compile_plan(
+                factory()
+            ).publish_bytes(row)
+        assert subscription.tree == compile_plan(views["tau3"]()).publish(row)
+        assert len(compared) > 40 and any(compared)
+        caches = {view.name: view.cache for view in server.stats().views}
+        assert sum(cache["migrations"] for cache in caches.values()) == len(compared)
+        assert caches["tau1"]["cold_starts"] > 0  # evicted parents started cold
+
+    def test_pair_index_stays_bounded_by_the_live_caches(self):
+        # 500 commits, pruned to the last 8 versions every 16: the index
+        # holds the live versioned entries, not every key ever created.
+        from repro.serve import ViewServer
+
+        server = ViewServer()
+        server.register_view("tau1", tau1_prerequisite_hierarchy())
+        server.register_view("tau3", tau3_courses_without_db_prereq())
+        handle = server.attach(
+            generate_registrar_instance(20, max_prereqs=2, seed=9), encoded=True
+        )
+        subscription = server.subscribe("tau3")
+        rng = random.Random(31)
+        for step in range(500):
+            handle.commit(_random_registrar_delta(rng, handle.instance))
+            server.publish("tau1", output="bytes")
+            if step % 16 == 15:
+                handle.prune(keep_last=8)
+        assert subscription.version == handle.latest.index
+        for name in ("tau1", "tau3"):
+            plan = server.view(name).plan_for(None)
+            assert plan.cache_stats.migrations > 400  # some deltas are no-ops
+            live = indexed = 0
+            for state in plan._states.values():
+                _assert_index_exact(plan, state)
+                for cache in (state.expansions, state.subtrees, state.renders):
+                    live += len(cache.versioned)
+                    indexed += sum(len(keys) for keys in cache.index.values())
+            assert indexed == live, name
+
+    def test_confirmation_fails_without_a_prior_expansion(self, tau1):
+        # A suspect's configuration in an invalidated pair that the parent
+        # never memoised must not be confirmed.
+        parent = generate_registrar_instance(20, max_prereqs=2, seed=2)
+        plan = compile_plan(tau1)
+        plan.publish_bytes(parent)
+        child = parent.apply_delta(_new_prereq(parent))
+        state = plan._instance_state(child)
+        key, entry = next(
+            (key, entry)
+            for key, entry in state.render_suspects.items()
+            if entry.sensitive
+        )
+        assert plan._confirm(state, entry)
+        state.render_suspects[key] = entry
+        for triple in entry.sensitive:
+            state.prior_expansions.pop(triple, None)
+        from repro.engine.emit import _confirmed_entry
+
+        assert _confirmed_entry(plan, state, key) is None
+
+    def test_cold_starts_are_counted(self, tau1):
+        # A ViewServer holding one state per plan: publishing a second
+        # source evicts the first source's state, so its next version's
+        # publish starts cold -- and says so in the stats.
+        from repro.serve import ViewServer
+
+        server = ViewServer(cache_instances=1)
+        server.register_view("view", tau1)
+        first = server.attach(example_registrar_instance(), name="a")
+        second = server.attach(generate_registrar_instance(8, seed=1), name="b")
+        edge = ("cs450", "cs340")
+        server.publish("view", source=first, output="bytes")
+        first.commit(Delta.insert("prereq", edge))
+        server.publish("view", source=first, output="bytes")
+        cache = server.stats().as_dict()["views"][0]["cache"]
+        assert (cache["migrations"], cache["cold_starts"]) == (1, 0)
+        server.publish("view", source=second, output="bytes")  # evicts a's state
+        first.commit(Delta.delete("prereq", edge))
+        document = server.publish("view", source=first, output="bytes")
+        assert document == compile_plan(tau1).publish_bytes(first.instance)
+        cache = server.stats().as_dict()["views"][0]["cache"]
+        assert (cache["migrations"], cache["cold_starts"]) == (1, 1)
+        assert "1 cold start(s)" in server.stats().describe()

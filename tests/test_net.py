@@ -208,6 +208,7 @@ def test_default_publish_after_commit_migrates_the_parent_state(client):
     assert after.version == 1
     cache = client.stats()["server"]["views"][0]["cache"]
     assert cache["retained"] > 0  # no query parameter needed to go incremental
+    assert (cache["migrations"], cache["cold_starts"]) == (1, 0)
     # The same bytes as a from-scratch render of the version.
     from repro.engine import compile_plan
     from repro.serve.net.app import default_catalog
